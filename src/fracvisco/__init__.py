@@ -4,39 +4,22 @@ Finite element discretization (P1 triangles / Q1 squares) of the
 integro-differential velocity equation with a Mittag-Leffler relaxation
 kernel, stepped by backward Euler with either a sum-of-exponentials
 compressed history (fast) or exact product-quadrature weights (direct).
+The package namespace holds the entry points of a run; everything else is
+imported from its module (``fracvisco.mlf``, ``fracvisco.soe``, ...).
 """
 
 from .errors import (BudgetExceeded, FracViscoError, InvalidSize,
                      NonConvergence, QuadratureFailure, SolveFailure)
-from .fem import (DofMap, Material, a_form_matrix, assemble_elastic,
-                  assemble_mass, b_form_matrix, build_dof_map, cg_solve,
-                  elastic_load, l2_error, mass_load, ritz_project)
-from .mesh import Mesh, MeshKind, build_mesh, cell_areas, dump_mesh
-from .mlf import (MlParams, kernel_antiderivative, kernel_beta, ml_bounds,
-                  ml_integral, ml_series)
-from .problems import (LoadPrecomputation, ManufacturedProblem,
-                       StressReconstructor, assemble_load, conv_factor,
-                       conv_factor_grid, exact_error, get_problem,
-                       precompute_loads)
-from .soe import SoeApprox, build_soe, certify_soe, eval_soe, write_table
-from .stepper import (MemoryState, RunResult, Scheme, Timings, direct_weights,
-                      run, step_direct, step_fast, theta_weights)
+from .fem import Material
+from .mesh import MeshKind, build_mesh
+from .problems import exact_error, get_problem
+from .soe import build_soe
+from .stepper import RunResult, Scheme, run
 
 __all__ = [
     "BudgetExceeded", "FracViscoError", "InvalidSize", "NonConvergence",
-    "QuadratureFailure", "SolveFailure",
-    "DofMap", "Material", "a_form_matrix", "assemble_elastic", "assemble_mass",
-    "b_form_matrix", "build_dof_map", "cg_solve", "elastic_load", "l2_error",
-    "mass_load", "ritz_project",
-    "Mesh", "MeshKind", "build_mesh", "cell_areas", "dump_mesh",
-    "MlParams", "kernel_antiderivative", "kernel_beta", "ml_bounds",
-    "ml_integral", "ml_series",
-    "LoadPrecomputation", "ManufacturedProblem", "StressReconstructor",
-    "assemble_load", "conv_factor", "conv_factor_grid", "exact_error",
-    "get_problem", "precompute_loads",
-    "SoeApprox", "build_soe", "certify_soe", "eval_soe", "write_table",
-    "MemoryState", "RunResult", "Scheme", "Timings", "direct_weights", "run",
-    "step_direct", "step_fast", "theta_weights",
+    "QuadratureFailure", "SolveFailure", "Material", "MeshKind", "build_mesh",
+    "exact_error", "get_problem", "build_soe", "RunResult", "Scheme", "run",
 ]
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .fem import Material, build_dof_map
 from .mesh import MeshKind, build_mesh
 from .problems import conv_factor_grid, exact_error, get_problem, precompute_loads
 from .soe import build_soe, certify_soe, write_table
-from .stepper import RunResult, Scheme, run
+from .stepper import Scheme, run
 
 SPATIAL_LADDER = (4, 8, 16, 32, 64)
 TEMPORAL_LADDER = (5, 10, 20, 40, 80)
@@ -175,15 +175,6 @@ def _svg_loglog(path: Path, title: str, xlabel: str, ylabel: str,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _ladder_run(cfg: RunConfig, alpha: float, mesh, dofs, n_steps: int,
-                scheme: Scheme, pre=None, conv=None) -> RunResult:
-    mat = cfg.material(alpha)
-    problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
-    dt = cfg.final_time / n_steps
-    return run(problem, mesh, scheme, n_steps, dofs=dofs,
-               eps=cfg.eps_for(dt), q=cfg.q, pre=pre, conv_values=conv)
-
-
 def cmd_convergence_space(cfg: RunConfig) -> list[ConvergenceReport]:
     reports = []
     rows_csv: list[list[str]] = []
@@ -262,7 +253,8 @@ def cmd_bench(cfg: RunConfig) -> list[dict]:
                "both": [Scheme.FAST, Scheme.DIRECT]}[cfg.scheme]
 
     warm_steps = min(cfg.n_steps_list)
-    _ladder_run(cfg, alpha, mesh, dofs, warm_steps, schemes[0], pre=pre)
+    run(problem, mesh, schemes[0], warm_steps, dofs=dofs,
+        eps=cfg.eps_for(cfg.final_time / warm_steps), q=cfg.q, pre=pre)
 
     records = []
     for n_steps in cfg.n_steps_list:
@@ -346,41 +338,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _tuple_of(kind):
+    return lambda text: tuple(kind(a) for a in text.split(","))
+
+
+#: [run] key of a config file -> (RunConfig field, parser of its text)
+_RUN_KEYS = {"problem": ("problem", str), "mesh": ("mesh_kind", MeshKind),
+             "alphas": ("alphas", _tuple_of(float)),
+             "spatial_ns": ("spatial_ns", _tuple_of(int)),
+             "n_steps": ("n_steps_list", _tuple_of(int)),
+             "mesh_n": ("mesh_n", int), "scheme": ("scheme", str),
+             "q": ("q", float), "eps_rule": ("eps_rule", str),
+             "final_time": ("final_time", float), "out": ("out_dir", Path)}
+_MATERIAL_KEYS = ("rho", "tau_sigma", "tau_eps", "mu_c", "lambda_c", "mu_d",
+                  "lambda_d")
+#: flag dest -> (RunConfig field, parser); --alpha arrives as floats
+_FLAG_KEYS = {**{k: _RUN_KEYS[k] for k in ("problem", "mesh", "mesh_n",
+                                           "scheme", "eps_rule", "out")},
+              "alpha": ("alphas", tuple), "steps": _RUN_KEYS["n_steps"]}
+
+
 def _load_config(path: Path) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"config file {path} not found or unreadable")
-    values: dict = {}
-    if parser.has_section("material"):
-        for key in ("rho", "tau_sigma", "tau_eps", "mu_c", "lambda_c",
-                    "mu_d", "lambda_d"):
-            if parser.has_option("material", key):
-                values[key] = parser.getfloat("material", key)
+    values = {key: parser.getfloat("material", key) for key in _MATERIAL_KEYS
+              if parser.has_option("material", key)}
     if parser.has_section("run"):
-        sec = parser["run"]
-        if "problem" in sec:
-            values["problem"] = sec["problem"]
-        if "mesh" in sec:
-            values["mesh_kind"] = MeshKind(sec["mesh"])
-        if "alphas" in sec:
-            values["alphas"] = tuple(float(a) for a in sec["alphas"].split(","))
-        if "spatial_ns" in sec:
-            values["spatial_ns"] = tuple(int(a) for a in sec["spatial_ns"].split(","))
-        if "n_steps" in sec:
-            values["n_steps_list"] = tuple(int(a) for a in sec["n_steps"].split(","))
-        if "mesh_n" in sec:
-            values["mesh_n"] = sec.getint("mesh_n")
-        if "scheme" in sec:
-            values["scheme"] = sec["scheme"]
-        if "q" in sec:
-            values["q"] = sec.getfloat("q")
-        if "eps_rule" in sec:
-            values["eps_rule"] = sec["eps_rule"]
-        if "final_time" in sec:
-            values["final_time"] = sec.getfloat("final_time")
-        if "out" in sec:
-            values["out_dir"] = Path(sec["out"])
+        for key, text in parser["run"].items():
+            if key in _RUN_KEYS:
+                name, parse = _RUN_KEYS[key]
+                values[name] = parse(text)
     return values
 
 
@@ -425,22 +413,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
         values.update(_load_config(args.config))
-    if args.problem is not None:
-        values["problem"] = args.problem
-    if args.mesh is not None:
-        values["mesh_kind"] = MeshKind(args.mesh)
-    if args.alpha:
-        values["alphas"] = tuple(args.alpha)
-    if args.out is not None:
-        values["out_dir"] = args.out
-    if args.scheme is not None:
-        values["scheme"] = args.scheme
-    if args.eps_rule is not None:
-        values["eps_rule"] = args.eps_rule
-    if getattr(args, "mesh_n", None) is not None:
-        values["mesh_n"] = args.mesh_n
-    if getattr(args, "steps", None):
-        values["n_steps_list"] = tuple(int(s) for s in args.steps.split(","))
+    for flag, (name, parse) in _FLAG_KEYS.items():
+        given = getattr(args, flag, None)
+        if given is not None:
+            values[name] = parse(given)
     cfg = RunConfig(**values)
     cfg.eps_for(1.0)   # validate the eps rule early
     return cfg
@@ -450,9 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "soe-table":
-            if not 0.0 < args.alpha < 1.0:
-                print("error: alpha must lie in (0, 1)", file=sys.stderr)
-                return 1
             print(cmd_soe_table(args.alpha, args.eps, args.q, args.t_min,
                                 args.t_max, args.out))
             return 0

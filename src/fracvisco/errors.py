@@ -14,7 +14,7 @@ class QuadratureFailure(FracViscoError):
 
 
 class BudgetExceeded(FracViscoError):
-    """Exponential-sum construction hit its node budget before certifying."""
+    """An SOE build hit its node budget, or a run would exceed memory."""
 
 
 class SolveFailure(FracViscoError):

@@ -5,9 +5,9 @@ The relaxation kernel of the velocity-form viscoelastic equation is
     beta(t) = E_alpha(-(t / tau_sigma)**alpha),    0 < alpha < 1,
 
 where E_alpha is the one-parameter Mittag-Leffler function.  Everything in
-this module is evaluated without any exponential-sum compression, so it can
-serve as the ground truth when certifying compressed representations and when
-building direct-quadrature weights.
+this module is evaluated without any exponential-sum compression, so it is
+the ground truth that certifies the SOE and that the tests check the kernel
+engine (``soe.exp_convolution``) against; no production table is built here.
 
 Two evaluation routes are provided and cross-checked in the tests:
 

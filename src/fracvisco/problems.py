@@ -15,16 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exprel
 
-from .errors import QuadratureFailure
 from .fem import DofMap, Material, elastic_load, l2_error, mass_load
 from .mesh import Mesh
 from .mlf import kernel_beta
-
-QUAD_ABS_TOL = 1e-11
-QUAD_LIMIT = 10_000
+from .soe import exp_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -138,47 +133,21 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
     return LoadPrecomputation(p_mass=p_mass, p_a=p_a, p_b=p_b)
 
 
-def conv_factor(alpha: float, tau_sigma: float, t: float) -> float:
-    """I(t) = int_0^t E_alpha(-((t-s)/tau_sigma)^alpha) e^{-s} ds.
-
-    Swapping the kernel's integral representation with the time integral
-    gives I(t) = int_0^inf f(x) * t e^{-t} exprel((1 - r) t) dx with
-    r = x^{-1/alpha} / tau_sigma, which is a single smooth quadrature instead
-    of a nested one (the inner time integral is exponential and closes in
-    exprel form, stable for r near 1).
-    """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    if alpha == 1.0:
-        r = 1.0 / tau_sigma
-        return t * math.exp(-t) * exprel((1.0 - r) * t)
-    c = math.cos(alpha * math.pi)
-    front = math.sin(alpha * math.pi) / (alpha * math.pi)
-
-    def integrand(x: float) -> float:
-        with np.errstate(over="ignore"):
-            rate = min(x ** (-1.0 / alpha), 1e300) / tau_sigma
-        f0 = front / (x * x + 2.0 * x * c + 1.0)
-        return f0 * t * math.exp(-t) * exprel((1.0 - rate) * t)
-
-    total = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
-        val, err = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL,
-                        epsrel=1e-12, limit=QUAD_LIMIT)
-        if err > 1e-9:
-            raise QuadratureFailure(
-                f"convolution factor quadrature error {err:.2e} on "
-                f"[{lo}, {hi}] at t={t}")
-        total += val
-    return total
-
-
 def conv_factor_grid(alpha: float, tau_sigma: float,
                      times: np.ndarray) -> np.ndarray:
-    """I(t) on a grid of times (cached per run; shared by both schemes)."""
-    return np.array([conv_factor(alpha, tau_sigma, float(t)) for t in times])
+    """I(t) = int_0^t E_alpha(-((t-s)/tau_sigma)^alpha) e^{-s} ds on a grid.
+
+    Evaluated for all times at once by the kernel engine
+    (:func:`fracvisco.soe.exp_convolution` with rate 1), which closes the
+    time integral of every exponential of its kernel rule in exprel form;
+    tabulated once per run and shared by all schemes.
+    """
+    return exp_convolution(alpha, tau_sigma, times, 1.0)
+
+
+def conv_factor(alpha: float, tau_sigma: float, t: float) -> float:
+    """I(t) at one time, on the same code path as :func:`conv_factor_grid`."""
+    return float(conv_factor_grid(alpha, tau_sigma, np.array([t]))[0])
 
 
 def assemble_load(pre: LoadPrecomputation, t: float, alpha: float,

@@ -13,6 +13,10 @@ The number of panels K and points J are chosen by an escalation loop that
 keeps enlarging the rule until the measured deviation from the reference
 kernel drops below the requested tolerance; the measured value is recorded on
 the result.  The tail beyond q^K is dropped and absorbed into certification.
+
+A fixed, much tighter panel rule is the production kernel engine,
+:func:`exp_convolution`: it gives the load factor I(t) and the kernel
+antiderivative for whole time tables at once.  ``mlf`` is its oracle.
 """
 
 from __future__ import annotations
@@ -21,11 +25,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import exprel
 
 from . import mlf
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, QuadratureFailure
 
 MAX_NODES = 4096
+
+#: Kernel engine: panels on [0, 4^24] (the tail beyond weighs < 1e-14),
+#: J Gauss points each, checked against J_CHECK points per panel.
+ENGINE_X_MIN, ENGINE_X_MAX = 4.0 ** -20, 4.0 ** 24
+ENGINE_RATE_RATIO = 16.0
+ENGINE_J, ENGINE_J_CHECK = 20, 16
+ENGINE_TOL = 1e-9
+#: Entries of each (times x nodes) temporary: 128 KB, so tables add no RSS.
+ENGINE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -55,31 +69,20 @@ class SoeApprox:
         return self.nodes.size
 
 
-def build_panels(q: float, big_k: int) -> list[Panel]:
-    """Panels covering [0, q^K]: [0,1] then [q^(k-1), q^k] for k = 1..K."""
+def _panels(edges) -> list[Panel]:
+    return [Panel((a + b) / 2.0, (b - a) / 2.0)
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+def build_panels(q: float, big_k: int, down: int = 0) -> list[Panel]:
+    """Panels covering [0, q^K]: [0, q^-down], then [q^(k-1), q^k] for
+    k = 1-down..K.  The `down` refinements of [0, 1] let Gauss points
+    resolve the kernel's fast-rate content at small times."""
     if q <= 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
     if big_k < 0:
         raise ValueError(f"K must be nonnegative, got {big_k}")
-    panels = [Panel(0.5, 0.5)]
-    for k in range(1, big_k + 1):
-        panels.append(Panel((q + 1.0) * q ** (k - 1) / 2.0,
-                            (q - 1.0) * q ** (k - 1) / 2.0))
-    return panels
-
-
-def _extended_panels(q: float, big_k: int, down: int) -> list[Panel]:
-    """Panel ladder with `down` extra refinements of [0,1].
-
-    [0,1] is split into [0, q^-down] and [q^-m, q^-m+1] for m = down..1 so
-    Gauss points can resolve the kernel's fast-rate content at small times;
-    down = 0 recovers the plain ladder of :func:`build_panels`.
-    """
-    panels = [Panel(0.5 * q ** -down, 0.5 * q ** -down)]
-    for m in range(down, 0, -1):
-        lo, hi = q ** -m, q ** (-m + 1)
-        panels.append(Panel((lo + hi) / 2.0, (hi - lo) / 2.0))
-    return panels + build_panels(q, big_k)[1:]
+    return _panels([0.0] + [q ** m for m in range(-down, big_k + 1)])
 
 
 def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,12 +94,18 @@ def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble(alpha: float, q: float, big_k: int, j: int,
               down: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    return _panel_rule(alpha, build_panels(q, big_k, down), j)
+
+
+def _panel_rule(alpha: float, panels: list[Panel],
+                j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and weights of j-point Gauss-Legendre on each panel."""
     xi, omega = gauss_legendre(j)
     c_ap = math.cos(alpha * math.pi)
     pref = math.sin(alpha * math.pi) / (alpha * math.pi)
     nodes = []
     weights = []
-    for panel in _extended_panels(q, big_k, down):
+    for panel in panels:
         x = panel.r * xi + panel.c
         with np.errstate(over="ignore"):
             rate = np.minimum(x ** (-1.0 / alpha), 1e300)
@@ -112,8 +121,64 @@ def eval_soe(soe: SoeApprox, t) -> np.ndarray | float:
     return float(val) if np.isscalar(t) or t_arr.ndim == 0 else val
 
 
+def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rates a_j and weights b_j, E_alpha(-t**alpha) ~= sum_j b_j e^{-a_j t},
+    of the ENGINE_J and ENGINE_J_CHECK rules; alpha = 1 is the exact e^{-t}.
+
+    Geometric edges with ratio min(4, 16^alpha) bound the rate change per
+    panel.  For alpha near 1 the weight's poles -cos(alpha pi) +- i
+    sin(alpha pi) approach the axis, so edges are also graded by doubling
+    away from x0 = -cos(alpha pi) in steps of the pole distance.
+    """
+    if alpha == 1.0:
+        return [(np.ones(1), np.ones(1))] * 2
+    q = min(4.0, ENGINE_RATE_RATIO ** alpha)
+    lo, hi = (math.floor(math.log(x, q)) for x in (ENGINE_X_MIN, ENGINE_X_MAX))
+    x0, d = -math.cos(alpha * math.pi), math.sin(alpha * math.pi)
+    edges = [0.0, x0] + [q ** m for m in range(lo, hi + 1)] + [
+        x0 + s * d * 2.0 ** k for k in range(math.ceil(math.log2(8.0 / d)))
+        for s in (-1.0, 1.0)]
+    panels = _panels(np.unique([e for e in edges if 0.0 <= e <= q ** hi]))
+    return [_panel_rule(alpha, panels, j) for j in (ENGINE_J, ENGINE_J_CHECK)]
+
+
+def exp_convolution(alpha: float, tau_sigma: float, times,
+                    rate: float) -> np.ndarray:
+    """int_0^t beta(t - s) e^{-rate s} ds for each t in the 1-D times, with
+    beta(t) = E_alpha(-(t/tau_sigma)^alpha).
+
+    With beta = sum_j b_j e^{-a_j t/tau} the integral closes to
+    t e^{-rate t} sum_j b_j exprel((rate - a_j/tau) t), stable for a_j/tau
+    near rate: rate = 1 gives the load factor I(t), rate = 0 the kernel
+    antiderivative.  QuadratureFailure where the ENGINE_J and ENGINE_J_CHECK
+    rules differ by more than ENGINE_TOL or are not finite.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError("times must be nonnegative")
+    rules = _engine_rules(alpha)
+    out = np.empty(times.size)
+    rows = max(1, ENGINE_BLOCK // rules[0][0].size)
+    for lo in range(0, times.size, rows):
+        t = times[lo:lo + rows]
+        front = t * np.exp(-rate * t)
+        fine, check = (
+            front * (exprel(np.multiply.outer(t, rate - a / tau_sigma))
+                     * b).sum(axis=1)
+            for a, b in rules)
+        gap = np.abs(fine - check)
+        worst = int(np.argmax(gap))
+        if not gap[worst] <= ENGINE_TOL:
+            raise QuadratureFailure(
+                f"kernel engine rules J = {ENGINE_J} and {ENGINE_J_CHECK} "
+                f"differ by {gap[worst]:.2e} at t = {t[worst]:g} "
+                f"(alpha = {alpha}, rate = {rate})")
+        out[lo:lo + t.size] = fine
+    return out
+
+
 def _reference(alpha: float, grid: np.ndarray) -> np.ndarray:
-    return np.array([mlf.ml_integral(alpha, float(t)) for t in grid])
+    return np.array([mlf.kernel_beta(alpha, 1.0, float(t)) for t in grid])
 
 
 def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
@@ -134,14 +199,18 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float, t_max: float,
 
     Escalation: start from K estimated from the range/tolerance, J = 8;
     certify; on failure raise J by 4 up to 48, then K by 2, until the node
-    budget would be exceeded.
+    budget would be exceeded.  alpha = 1 is the exact one-term sum e^{-t}.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if alpha == 1.0:
+        return SoeApprox(alpha=alpha, q=q, big_k=0, j_per_panel=1,
+                         nodes=np.ones(1), weights=np.ones(1),
+                         eps_target=eps, eps_certified=0.0)
 
     grid = np.geomspace(t_min, t_max, samples)
     ref = _reference(alpha, grid)

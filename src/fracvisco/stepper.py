@@ -7,9 +7,13 @@ Three interchangeable history treatments are provided:
   (O(N_exp) work and storage per step);
 - theta: the mathematically equivalent explicit lag-weight convolution
   sum_{i<n} theta_{n-i} B v^i (test reference for the fast scheme);
-- direct: product-quadrature weights from the exact kernel antiderivative,
+- direct: product-quadrature weights from the kernel antiderivative,
   w_{n,i} = A_beta(t_n - t_i) - A_beta(t_n - t_{i+1}) (O(n) work per step,
   O(N) storage; the accuracy baseline).
+
+The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
+engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
+exceed the available physical memory raises BudgetExceeded up front.
 
 The system matrix is constant, so its Jacobi preconditioner is built once
 and CG warm-starts from the previous level.
@@ -17,6 +21,7 @@ and CG warm-starts from the previous level.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -25,14 +30,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolveFailure
+from .errors import BudgetExceeded, SolveFailure
 from .fem import (DofMap, Material, a_form_matrix, assemble_mass,
                   b_form_matrix, build_dof_map, ritz_project)
 from .mesh import Mesh
-from .mlf import kernel_antiderivative
+# unused here; perfbench's tracer patches the name in this module
+from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
                        conv_factor_grid, precompute_loads)
-from .soe import SoeApprox, build_soe
+from .soe import SoeApprox, build_soe, exp_convolution
 
 
 class Scheme(str, Enum):
@@ -100,10 +106,11 @@ def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
 
 
 def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
-    """Exact product-quadrature lag weights w_l = B(l dt) - B((l-1) dt)
-    with B the kernel antiderivative; w_{n,i} = w_{n-i}."""
-    anti = np.array([kernel_antiderivative(material.alpha, material.tau_sigma,
-                                           l * dt) for l in range(n_max + 1)])
+    """Product-quadrature lag weights w_l = B(l dt) - B((l-1) dt) with
+    B(x) = int_0^x beta the kernel antiderivative (the kernel engine at
+    rate 0); w_{n,i} = w_{n-i}."""
+    anti = exp_convolution(material.alpha, material.tau_sigma,
+                           dt * np.arange(n_max + 1), 0.0)
     return np.diff(anti)
 
 
@@ -129,22 +136,19 @@ class TimeStepSystem:
         return x
 
 
-def step_fast(system: TimeStepSystem, b_mat: sp.csr_matrix, mem: MemoryState,
-              v_prev: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """One backward-Euler step with SOE memory (mem already at level n)."""
-    rhs = system.mass @ v_prev / system.dt + b_mat @ mem.total() + load
-    return system.solve(rhs, v_prev)
-
-
-def step_direct(system: TimeStepSystem, b_mat: sp.csr_matrix,
-                history: np.ndarray, weights_rev: np.ndarray,
-                load: np.ndarray) -> np.ndarray:
-    """One step with explicit history: history rows are v^0..v^{n-1} and
-    weights_rev[i] multiplies v^i (already reversed lag weights)."""
-    v_prev = history[-1]
-    hist = weights_rev @ history
-    rhs = system.mass @ v_prev / system.dt + b_mat @ hist + load
-    return system.solve(rhs, v_prev)
+def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
+    """Refuse a run whose N-sized arrays (direct/theta history; times, I(t)
+    and lag-weight tables) exceed the available physical memory."""
+    try:
+        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):  # platform cannot report it
+        return
+    need = 8 * n_steps * ((0 if scheme is Scheme.FAST else n_dofs) + 3)
+    if need > avail:
+        raise BudgetExceeded(
+            f"{scheme.value} run with N = {n_steps} steps and n_dofs = "
+            f"{n_dofs} needs {need} bytes of history and kernel tables; "
+            f"{avail} bytes of physical memory are available")
 
 
 def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
@@ -164,6 +168,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     mat = problem.material
     if dofs is None:
         dofs = build_dof_map(mesh)
+    _check_memory(scheme, n_steps, dofs.n_dofs)
     a_mat = a_form_matrix(mesh, dofs, mat)
     v = ritz_project(mesh, dofs, a_mat, mat, problem.spatial_gradient)
     timings = Timings()

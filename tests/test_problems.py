@@ -69,7 +69,10 @@ class TestConvFactor:
         expected = (math.exp(-t / tau) - math.exp(-t)) / (1.0 - 1.0 / tau)
         assert conv_factor(1.0, tau, t) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha,t", [(0.3, 0.4), (0.5, 1.0), (0.8, 0.1)])
+    @pytest.mark.parametrize("alpha,t", [
+        (0.3, 0.4), (0.5, 1.0), (0.8, 0.1), (0.1, 0.3), (0.2, 1.0),
+        (0.3, 1.0), (0.5, 0.01), (0.6, 1e-4), (0.7, 0.5), (0.8, 1.0),
+        (0.95, 0.6), (0.99, 1.0)])
     def test_matches_time_domain_quadrature(self, alpha, t):
         tau = 0.5
         ref, err = quad(lambda u: kernel_beta(alpha, tau, u) * math.exp(u - t),
@@ -88,6 +91,12 @@ class TestConvFactor:
         grid = conv_factor_grid(0.4, 0.5, times)
         for t, v in zip(times, grid):
             assert v == conv_factor(0.4, 0.5, float(t))
+
+    def test_disagreeing_embedded_rule_raises(self, monkeypatch):
+        # a 2-point check rule cannot match the 20-point rule
+        monkeypatch.setattr("fracvisco.soe.ENGINE_J_CHECK", 2)
+        with pytest.raises(QuadratureFailure):
+            conv_factor_grid(0.5, 0.5, np.linspace(0.0, 1.0, 11))
 
 
 class TestLoads:

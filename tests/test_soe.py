@@ -138,6 +138,23 @@ class TestBuildAndCertify:
         coarse, fine = dev_for(8), dev_for(16)
         assert fine <= 2.0 * coarse
 
+    def test_certification_matches_integral_reference(self):
+        # the certification reference (mlf's series/integral dispatch)
+        # records the same deviation as one built from ml_integral alone
+        for alpha in (0.3, 0.8):
+            soe = build_soe(alpha, 1e-6, 10.0, 1e-4, 2.0)
+            grid = np.geomspace(1e-4, 2.0, 512)
+            ref = np.array([ml_integral(alpha, float(t)) for t in grid])
+            by_integral = certify_soe(soe, 1e-4, 2.0, _ref=ref)
+            assert certify_soe(soe, 1e-4, 2.0) == pytest.approx(
+                by_integral, abs=1e-12)
+
+    def test_alpha_one_is_exact_single_exponential(self):
+        soe = build_soe(1.0, 1e-6, 10.0, 1e-4, 2.0)
+        assert soe.nodes.tolist() == [1.0]
+        assert soe.weights.tolist() == [1.0]
+        assert soe.eps_certified == 0.0
+
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             build_soe(0.5, 1e-14, 1.0001, 1e-4, 2.0)

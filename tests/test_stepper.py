@@ -1,11 +1,13 @@
 """Tests for the backward-Euler time stepper and its history treatments."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fracvisco.errors import BudgetExceeded
 from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
                            b_form_matrix, build_dof_map, ritz_project)
 from fracvisco.mesh import build_mesh
@@ -91,13 +93,14 @@ class TestWeights:
             assert np.allclose(mem.total(), expected, atol=1e-12)
 
     def test_direct_weights_sum_to_antiderivative(self):
-        mat = Material(alpha=0.5)
-        dt, n = 0.05, 20
-        w = direct_weights(mat, dt, n)
-        total = kernel_antiderivative(mat.alpha, mat.tau_sigma, n * dt)
-        assert w.sum() == pytest.approx(total, abs=1e-12)
-        assert np.all(w > 0)
-        assert np.all(np.diff(w) < 0)
+        for alpha, n in ((0.5, 20), (0.3, 1500), (0.8, 1500)):
+            mat = Material(alpha=alpha)
+            dt = 1.0 / n
+            w = direct_weights(mat, dt, n)
+            total = kernel_antiderivative(mat.alpha, mat.tau_sigma, n * dt)
+            assert w.sum() == pytest.approx(total, abs=1e-12)
+            assert np.all(w > 0)
+            assert np.all(np.diff(w) < 0)
 
     def test_direct_weights_alpha_one(self):
         # exponential kernel: w_l = tau (e^{-(l-1) dt/tau} - e^{-l dt/tau})
@@ -157,6 +160,25 @@ class TestRun:
         fast = run(prob, mesh, Scheme.FAST, 16, eps=1e-9, rel_tol=1e-12)
         direct = run(prob, mesh, Scheme.DIRECT, 16, rel_tol=1e-12)
         assert np.abs(fast.coeffs - direct.coeffs).max() < 1e-6
+
+    def test_alpha_one_schemes_agree(self):
+        # alpha = 1: the SOE is the exact single exponential, so all three
+        # histories are the same convolution
+        mesh = build_mesh("quad", 4)
+        prob = get_problem("ex61", Material(alpha=1.0))
+        direct = run(prob, mesh, Scheme.DIRECT, 8, rel_tol=1e-13)
+        scale = np.abs(direct.coeffs).max()
+        for scheme in (Scheme.FAST, Scheme.THETA):
+            res = run(prob, mesh, scheme, 8, rel_tol=1e-13)
+            assert res.n_exp == 1
+            assert np.abs(res.coeffs - direct.coeffs).max() < 1e-11 * scale
+
+    def test_history_beyond_memory_refused(self):
+        mesh = build_mesh("quad", 2)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="N = 1099511627776"):
+            run(get_problem("ex61"), mesh, Scheme.DIRECT, 2 ** 40)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_degenerate_memory_matches_plain_parabolic_stepper(self):
         # with B = 0 the scheme is a plain implicit Euler evolution; replay
