@@ -18,7 +18,8 @@ class BudgetExceeded(FracViscoError):
 
 
 class SolveFailure(FracViscoError):
-    """Iterative linear solve stagnated or hit its iteration cap."""
+    """A sparse factorisation was singular, or a time step produced a
+    non-finite velocity."""
 
 
 class InvalidSize(FracViscoError):

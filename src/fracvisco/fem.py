@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -299,25 +300,21 @@ def l2_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray, exact) -> float:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def cg_solve(mat: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None = None,
-             rel_tol: float = 1e-10) -> np.ndarray:
-    """Jacobi-preconditioned CG; raises SolveFailure on stagnation."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    n = mat.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    inv_diag = 1.0 / mat.diagonal()
-    precond = spla.LinearOperator((n, n), matvec=lambda r: inv_diag * r)
-    x, info = spla.cg(mat, rhs, x0=x0, rtol=rel_tol, atol=0.0,
-                      maxiter=10 * n, M=precond)
-    if info != 0:
-        raise SolveFailure(f"CG returned info = {info} after {10 * n} iterations")
-    return x
+def spd_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the SPD matrix once (SuperLU, minimum-degree ordering of
+    A^T + A, no pivoting: safe for SPD) and return its solve; a singular
+    factor raises SolveFailure naming the size."""
+    try:
+        lu = spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolveFailure(f"factorisation of the {mat.shape[0]}-dof system "
+                           f"failed: {exc}") from exc
+    return lu.solve
 
 
 def ritz_project(mesh: Mesh, dofs: DofMap, a_matrix: sp.csr_matrix,
-                 mat: Material, exact_grad, rel_tol: float = 1e-12) -> np.ndarray:
+                 mat: Material, exact_grad) -> np.ndarray:
     """a-orthogonal projection of an analytic field onto the FE space.
 
     The right-hand side a(V, phi_i) is integrated elementwise from the
@@ -325,4 +322,4 @@ def ritz_project(mesh: Mesh, dofs: DofMap, a_matrix: sp.csr_matrix,
     """
     rhs = elastic_load(mesh, dofs, exact_grad, mat.mu_c, mat.lambda_c,
                        1.0 / mat.rho)
-    return cg_solve(a_matrix, rhs, rel_tol=rel_tol)
+    return spd_solver(a_matrix)(rhs)

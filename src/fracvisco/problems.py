@@ -19,7 +19,7 @@ import numpy as np
 from .fem import DofMap, Material, elastic_load, l2_error, mass_load
 from .mesh import Mesh
 from .mlf import kernel_beta
-from .soe import exp_convolution
+from .soe import MemoryState, SoeApprox, exp_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +177,20 @@ class StressReconstructor:
     sigma(t) = C eps(v(t)) - conv(t) + iota0(t), where conv is the kernel
     convolution of (C - (tau_eps/tau_sigma)^alpha D) eps(v) and
     iota0(t) = beta(t) (sigma0 - C eps(u0)).  The convolution is carried by
-    the same per-exponential recursion as the velocity memory variables,
-    applied to Voigt strains (xx, yy, xy) at every quadrature point.
+    the velocity's MemoryState recursion, applied to Voigt strains
+    (xx, yy, xy) at every quadrature point.
 
     Strains must be supplied by the caller per step via update(); the class
     is agnostic to how they were sampled as long as the array shape is
     fixed (n_points, 3).
     """
 
-    def __init__(self, material: Material, soe_nodes: np.ndarray,
-                 soe_weights: np.ndarray, dt: float, n_points: int,
+    def __init__(self, material: Material, soe: SoeApprox, dt: float,
+                 n_points: int,
                  sigma0_minus_c_eps_u0: np.ndarray | None = None):
         self.material = material
         self.dt = dt
-        tau = material.tau_sigma
-        self.decay = np.exp(-soe_nodes * dt / tau)
-        self.gain = soe_weights * tau / soe_nodes * (1.0 - self.decay)
-        self.hist = np.zeros((soe_nodes.size, n_points, 3))
+        self.memory = MemoryState(soe, dt, material.tau_sigma, (n_points, 3))
         self.iota_base = (np.zeros((n_points, 3))
                           if sigma0_minus_c_eps_u0 is None
                           else np.asarray(sigma0_minus_c_eps_u0, dtype=float))
@@ -214,8 +211,7 @@ class StressReconstructor:
         """Advance one step with the velocity strain of the completed level."""
         strain = np.asarray(strain, dtype=float)
         if self.prev_strain is not None:
-            self.hist *= self.decay[:, None, None]
-            self.hist += self.gain[:, None, None] * self.prev_strain
+            self.memory.advance(self.prev_strain)
         self.prev_strain = strain
         self.time += self.dt
 
@@ -226,7 +222,7 @@ class StressReconstructor:
         mat = self.material
         strain = self.prev_strain
         c_part = self._apply_isotropic(mat.mu_c, mat.lambda_c, strain)
-        conv_strain = self.hist.sum(axis=0)
+        conv_strain = self.memory.total()
         b_part = (self._apply_isotropic(mat.mu_c, mat.lambda_c, conv_strain)
                   - mat.ratio_alpha
                   * self._apply_isotropic(mat.mu_d, mat.lambda_d, conv_strain))

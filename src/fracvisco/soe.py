@@ -6,8 +6,8 @@ Builds a certified approximation
 
 by splitting the integral representation into dyadic panels [0,1], [1,q],
 ..., [q^(K-1), q^K] and applying Gauss-Legendre quadrature with J points per
-panel.  Nodes and weights are all strictly positive, which the time stepper's
-telescoping memory update relies on.
+panel.  Nodes and weights are all strictly positive, which the telescoping
+memory recursion of :class:`MemoryState` relies on.
 
 The number of panels K and points J are chosen by an escalation loop that
 keeps enlarging the rule until the measured deviation from the reference
@@ -101,8 +101,8 @@ def _panel_rule(alpha: float, panels: list[Panel],
                 j: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of j-point Gauss-Legendre on each panel."""
     xi, omega = gauss_legendre(j)
-    c_ap = math.cos(alpha * math.pi)
-    pref = math.sin(alpha * math.pi) / (alpha * math.pi)
+    c_ap, s_ap = math.cos(alpha * math.pi), math.sin(alpha * math.pi)
+    pref = s_ap / (alpha * math.pi)
     nodes = []
     weights = []
     for panel in panels:
@@ -110,8 +110,39 @@ def _panel_rule(alpha: float, panels: list[Panel],
         with np.errstate(over="ignore"):
             rate = np.minimum(x ** (-1.0 / alpha), 1e300)
         nodes.append(rate)
-        weights.append(pref * omega * panel.r / (x * x + 2.0 * x * c_ap + 1.0))
+        # (x + cos)^2 + sin^2, not x^2 + 2x cos + 1: no cancellation
+        # near x = 1 as alpha -> 1
+        weights.append(pref * omega * panel.r / ((x + c_ap) ** 2 + s_ap ** 2))
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+class MemoryState:
+    """Histories H_j, one array of the given shape per exponential, with the
+    one-step recursion
+
+    H_j(v^n) = decay_j H_j(v^{n-1}) + gain_j v^{n-1},  H_j(v^0) = 0,
+
+    where decay_j = e^{-a_j dt / tau_sigma} and
+    gain_j = (b_j tau_sigma / a_j)(1 - decay_j).
+    """
+
+    def __init__(self, soe: SoeApprox, dt: float, tau_sigma: float,
+                 shape: int | tuple[int, ...]):
+        self.decay = np.exp(-soe.nodes * dt / tau_sigma)
+        self.gain = soe.weights * tau_sigma / soe.nodes * (1.0 - self.decay)
+        self.h = np.zeros((soe.n_exp, *np.atleast_1d(shape)))
+        self._column = (-1,) + (1,) * (self.h.ndim - 1)
+
+    def advance(self, v_prev: np.ndarray) -> None:
+        self.h *= self.decay.reshape(self._column)
+        self.h += self.gain.reshape(self._column) * v_prev
+
+    def total(self) -> np.ndarray:
+        return self.h.sum(axis=0)
+
+    @property
+    def nbytes(self) -> int:
+        return self.h.nbytes
 
 
 def eval_soe(soe: SoeApprox, t) -> np.ndarray | float:

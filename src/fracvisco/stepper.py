@@ -15,8 +15,8 @@ The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
 engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
 exceed the available physical memory raises BudgetExceeded up front.
 
-The system matrix is constant, so its Jacobi preconditioner is built once
-and CG warm-starts from the previous level.
+The system matrix is constant, so it is factored once per run; a step
+whose velocity is not finite raises SolveFailure naming the step.
 """
 
 from __future__ import annotations
@@ -28,17 +28,16 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded, SolveFailure
 from .fem import (DofMap, Material, a_form_matrix, assemble_mass,
-                  b_form_matrix, build_dof_map, ritz_project)
+                  b_form_matrix, build_dof_map, ritz_project, spd_solver)
 from .mesh import Mesh
 # unused here; perfbench's tracer patches the name in this module
 from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
                        conv_factor_grid, precompute_loads)
-from .soe import SoeApprox, build_soe, exp_convolution
+from .soe import MemoryState, SoeApprox, build_soe, exp_convolution
 
 
 class Scheme(str, Enum):
@@ -64,33 +63,6 @@ class RunResult:
     dt: float
 
 
-class MemoryState:
-    """Per-exponential history vectors H_j with the one-step recursion
-
-    H_j(v^n) = decay_j H_j(v^{n-1}) + gain_j v^{n-1},  H_j(v^0) = 0,
-
-    where decay_j = e^{-a_j dt / tau_sigma} and
-    gain_j = (b_j tau_sigma / a_j)(1 - decay_j).
-    """
-
-    def __init__(self, soe: SoeApprox, dt: float, tau_sigma: float,
-                 n_dofs: int):
-        self.decay = np.exp(-soe.nodes * dt / tau_sigma)
-        self.gain = soe.weights * tau_sigma / soe.nodes * (1.0 - self.decay)
-        self.h = np.zeros((soe.n_exp, n_dofs))
-
-    def advance(self, v_prev: np.ndarray) -> None:
-        self.h *= self.decay[:, None]
-        self.h += self.gain[:, None] * v_prev
-
-    def total(self) -> np.ndarray:
-        return self.h.sum(axis=0)
-
-    @property
-    def nbytes(self) -> int:
-        return self.h.nbytes
-
-
 def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
                   n_max: int) -> np.ndarray:
     """Lag weights theta_1..theta_{n_max} of the equivalent convolution form.
@@ -99,10 +71,8 @@ def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
                                           - e^{-l dt a_j/tau_sigma}),
     so that sum_j H_j(v^n) = sum_{i=0}^{n-1} theta_{n-i} v^i.
     """
-    decay = np.exp(-soe.nodes * dt / tau_sigma)
-    gain = soe.weights * tau_sigma / soe.nodes * (1.0 - decay)
-    lags = np.arange(n_max)[:, None]                 # l - 1
-    return (gain[None, :] * decay[None, :] ** lags).sum(axis=1)
+    mem = MemoryState(soe, dt, tau_sigma, ())
+    return (mem.gain * mem.decay ** np.arange(n_max)[:, None]).sum(axis=1)
 
 
 def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
@@ -115,25 +85,11 @@ def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
 
 
 class TimeStepSystem:
-    """Constant backward-Euler system matrix with reusable preconditioner."""
+    """Constant backward-Euler matrix M/dt + A, factored once per run."""
 
-    def __init__(self, mass: sp.csr_matrix, a_mat: sp.csr_matrix, dt: float,
-                 rel_tol: float = 1e-10):
-        self.mass = mass
-        self.dt = dt
-        self.rel_tol = rel_tol
+    def __init__(self, mass: sp.csr_matrix, a_mat: sp.csr_matrix, dt: float):
         self.lhs = (mass / dt + a_mat).tocsr()
-        n = self.lhs.shape[0]
-        inv_diag = 1.0 / self.lhs.diagonal()
-        self.precond = spla.LinearOperator((n, n),
-                                           matvec=lambda r: inv_diag * r)
-
-    def solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        x, info = spla.cg(self.lhs, rhs, x0=x0, rtol=self.rel_tol, atol=0.0,
-                          maxiter=10 * self.lhs.shape[0], M=self.precond)
-        if info != 0:
-            raise SolveFailure(f"CG returned info = {info}")
-        return x
+        self.solve = spd_solver(self.lhs)
 
 
 def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
@@ -155,8 +111,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         n_steps: int, dofs: DofMap | None = None, eps: float | None = None,
         q: int = 10, soe: SoeApprox | None = None,
         pre: LoadPrecomputation | None = None,
-        conv_values: np.ndarray | None = None,
-        rel_tol: float = 1e-10) -> RunResult:
+        conv_values: np.ndarray | None = None) -> RunResult:
     """Execute a full run and return the final-time coefficients.
 
     eps defaults to dt/10 for the SOE-based schemes; a prebuilt soe overrides
@@ -179,7 +134,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     dt = problem.final_time / n_steps
     mass = assemble_mass(mesh, dofs)
     b_mat = b_form_matrix(mesh, dofs, mat)
-    system = TimeStepSystem(mass, a_mat, dt, rel_tol=rel_tol)
+    system = TimeStepSystem(mass, a_mat, dt)
     if pre is None:
         pre = precompute_loads(mesh, dofs, problem)
     times = dt * np.arange(1, n_steps + 1)
@@ -197,7 +152,6 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
 
     mem: MemoryState | None = None
     history: np.ndarray | None = None
-    weights: np.ndarray | None = None
     if scheme is Scheme.FAST:
         mem = MemoryState(soe, dt, mat.tau_sigma, dofs.n_dofs)
         peak_bytes = mem.nbytes
@@ -205,10 +159,9 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         history = np.zeros((n_steps, dofs.n_dofs))
         history[0] = v
         peak_bytes = history.nbytes
-        if scheme is Scheme.THETA:
-            weights = theta_weights(soe, dt, mat.tau_sigma, n_steps)
-        else:
-            weights = direct_weights(mat, dt, n_steps)
+        weights = (theta_weights(soe, dt, mat.tau_sigma, n_steps)
+                   if scheme is Scheme.THETA
+                   else direct_weights(mat, dt, n_steps))
         # store the reversal contiguously: a negative-stride vector forces
         # the history matvec off the fast BLAS path
         weights_rev = weights[::-1].copy()
@@ -226,9 +179,12 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
             # contiguous suffix weights_rev[n_steps - n:] lines up with v^0..v^{n-1}
             rhs_hist = b_mat @ (weights_rev[n_steps - n:] @ history[:n])
         h1 = time.perf_counter()
-        rhs = system.mass @ v / dt + rhs_hist + load
-        v_new = system.solve(rhs, v)
+        rhs = mass @ v / dt + rhs_hist + load
+        v_new = system.solve(rhs)
         h2 = time.perf_counter()
+        if not np.isfinite(v_new).all():
+            raise SolveFailure(f"step {n} of N = {n_steps}: the velocity is "
+                               f"not finite (n_dofs = {dofs.n_dofs})")
         timings.wall_history += h1 - h0
         timings.wall_solve += h2 - h1
         if history is not None and n < n_steps:

@@ -200,15 +200,15 @@ class TestCriterion5SchemeEquivalence:
         failures = []
         mesh = build_mesh("quad", 8)
         prob = get_problem("ex61")
-        fast = run(prob, mesh, Scheme.FAST, 32, rel_tol=1e-12)
-        theta = run(prob, mesh, Scheme.THETA, 32, rel_tol=1e-12)
+        fast = run(prob, mesh, Scheme.FAST, 32)
+        theta = run(prob, mesh, Scheme.THETA, 32)
         d1 = float(np.abs(fast.coeffs - theta.coeffs).max())
         if d1 > 1e-10:
             failures.append(f"fast vs equivalent-lag: {d1:.2e}")
 
         mesh = build_mesh("quad", 16)
-        fast = run(prob, mesh, Scheme.FAST, 64, eps=1e-8, rel_tol=1e-12)
-        direct = run(prob, mesh, Scheme.DIRECT, 64, rel_tol=1e-12)
+        fast = run(prob, mesh, Scheme.FAST, 64, eps=1e-8)
+        direct = run(prob, mesh, Scheme.DIRECT, 64)
         d2 = float(np.abs(fast.coeffs - direct.coeffs).max())
         if d2 > 1e-5:
             failures.append(f"fast vs direct: {d2:.2e}")

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fracvisco.errors import SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_elastic,
                            assemble_mass, b_form_matrix, build_dof_map,
-                           cg_solve, elastic_load, l2_error, mass_load,
-                           ritz_project)
+                           elastic_load, l2_error, mass_load, ritz_project,
+                           spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.problems import _field_ex61, _grad_ex61
 
@@ -189,7 +190,7 @@ class TestSolvers:
     def test_cg_identity(self):
         import scipy.sparse as sp
         rhs = np.arange(1.0, 11.0)
-        x = cg_solve(sp.identity(10, format="csr"), rhs)
+        x = spd_solver(sp.identity(10, format="csr"))(rhs)
         assert np.allclose(x, rhs, atol=1e-12)
 
     def test_cg_matches_dense_solve(self):
@@ -198,7 +199,7 @@ class TestSolvers:
         a = rng.standard_normal((50, 50))
         dense = a @ a.T + 50.0 * np.eye(50)
         rhs = rng.standard_normal(50)
-        x = cg_solve(sp.csr_matrix(dense), rhs, rel_tol=1e-12)
+        x = spd_solver(sp.csr_matrix(dense))(rhs)
         assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-8)
 
     def test_cg_mass_constant(self):
@@ -206,13 +207,14 @@ class TestSolvers:
         dofs = build_dof_map(mesh)
         m = assemble_mass(mesh, dofs)
         ones = np.ones(dofs.n_dofs)
-        x = cg_solve(m, m @ ones, rel_tol=1e-13)
+        x = spd_solver(m)(m @ ones)
         assert np.allclose(x, ones, atol=1e-9)
 
-    def test_cg_rejects_bad_tolerance(self):
+    def test_singular_matrix_raises(self):
         import scipy.sparse as sp
-        with pytest.raises(ValueError):
-            cg_solve(sp.identity(3, format="csr"), np.ones(3), rel_tol=2.0)
+        singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SolveFailure, match="2-dof"):
+            spd_solver(singular)
 
 
 class TestRitzProjection:

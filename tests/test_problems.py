@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from fracvisco.errors import QuadratureFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
-                           b_form_matrix, build_dof_map, cg_solve, mass_load,
-                           ritz_project)
+                           b_form_matrix, build_dof_map, mass_load, ritz_project,
+                           spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_antiderivative, kernel_beta
 from fracvisco.problems import (LoadPrecomputation, StressReconstructor,
@@ -68,6 +68,15 @@ class TestConvFactor:
         tau, t = 0.5, 0.8
         expected = (math.exp(-t / tau) - math.exp(-t)) / (1.0 - 1.0 / tau)
         assert conv_factor(1.0, tau, t) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9999, 0.99999])
+    def test_near_alpha_one_approaches_closed_form(self, alpha):
+        # I(t) moves by O(1 - alpha) away from the alpha = 1 closed form
+        tau = 0.5
+        times = np.linspace(0.1, 1.0, 10)
+        want = (np.exp(-times / tau) - np.exp(-times)) / (1.0 - 1.0 / tau)
+        got = conv_factor_grid(alpha, tau, times)
+        assert np.all(np.abs(got - want) <= 5.0 * (1.0 - alpha) * want)
 
     @pytest.mark.parametrize("alpha,t", [
         (0.3, 0.4), (0.5, 1.0), (0.8, 0.1), (0.1, 0.3), (0.2, 1.0),
@@ -182,7 +191,7 @@ class TestLoads:
             rh = ritz_project(mesh, dofs, a, mat, prob.spatial_gradient)
             pre = precompute_loads(mesh, dofs, prob)
             r = gp * (m @ rh - pre.p_mass) - it * (b @ rh - pre.p_b)
-            duals.append(math.sqrt(r @ cg_solve(m, r, rel_tol=1e-12)))
+            duals.append(math.sqrt(r @ spd_solver(m)(r)))
         assert duals[0] / duals[1] > 3.2
         assert duals[1] / duals[2] > 3.2
 
@@ -200,8 +209,7 @@ class TestStressReconstructor:
 
     def test_requires_strain(self):
         soe = self._soe()
-        rec = StressReconstructor(Material(), soe.nodes, soe.weights,
-                                  dt=0.1, n_points=2)
+        rec = StressReconstructor(Material(), soe, dt=0.1, n_points=2)
         with pytest.raises(ValueError):
             rec.stress()
 
@@ -209,8 +217,7 @@ class TestStressReconstructor:
         mat = Material(tau_sigma=1.0, tau_eps=1.0, mu_d=1.0, lambda_d=1.0)
         soe = self._soe()
         rng = np.random.default_rng(5)
-        rec = StressReconstructor(mat, soe.nodes, soe.weights,
-                                  dt=0.05, n_points=4)
+        rec = StressReconstructor(mat, soe, dt=0.05, n_points=4)
         for _ in range(6):
             strain = rng.standard_normal((4, 3))
             rec.update(strain)
@@ -225,12 +232,11 @@ class TestStressReconstructor:
         soe = self._soe(mat.alpha)
         dt = 0.01
         n_steps = 50
-        rec = StressReconstructor(mat, soe.nodes, soe.weights,
-                                  dt=dt, n_points=1)
+        rec = StressReconstructor(mat, soe, dt=dt, n_points=1)
         strain = np.array([[1.0, 0.0, 0.0]])
         for _ in range(n_steps):
             rec.update(strain)
-        conv = rec.hist.sum(axis=0)[0, 0]
+        conv = rec.memory.total()[0, 0]
         ref = kernel_antiderivative(mat.alpha, mat.tau_sigma,
                                     (n_steps - 1) * dt)
         assert conv == pytest.approx(ref, rel=0.05)
@@ -239,8 +245,8 @@ class TestStressReconstructor:
         mat = Material()
         soe = self._soe(mat.alpha)
         base = np.array([[2.0, -1.0, 0.5]])
-        rec = StressReconstructor(mat, soe.nodes, soe.weights, dt=0.1,
-                                  n_points=1, sigma0_minus_c_eps_u0=base)
+        rec = StressReconstructor(mat, soe, dt=0.1, n_points=1,
+                                  sigma0_minus_c_eps_u0=base)
         rec.update(np.zeros((1, 3)))
         sigma = rec.stress()
         expected = kernel_beta(mat.alpha, mat.tau_sigma, 0.1) * base

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from fracvisco.errors import BudgetExceeded
 from fracvisco.mlf import ml_integral
-from fracvisco.soe import (SoeApprox, _assemble, build_panels, build_soe,
-                           certify_soe, eval_soe, gauss_legendre, write_table)
+from fracvisco.soe import (SoeApprox, _assemble, _engine_rules, build_panels,
+                           build_soe, certify_soe, eval_soe, gauss_legendre,
+                           write_table)
 
 
 class TestPanels:
@@ -83,6 +84,15 @@ class TestAssemble:
         # panels: 1 base + 2 down + 3 up; 8 points each
         assert nodes.size == 6 * 8
         assert weights.size == nodes.size
+
+
+class TestEngineRules:
+    @pytest.mark.parametrize("alpha", [0.999, 0.9999, 0.99999])
+    def test_weights_sum_to_one_near_alpha_one(self, alpha):
+        # sum_j b_j = E_alpha(0) = 1; the weight denominator must not cancel
+        # where the poles -cos(alpha pi) +- i sin(alpha pi) near x = 1
+        for _, weights in _engine_rules(alpha):
+            assert abs(weights.sum() - 1.0) < 1e-11
 
 
 class TestBuildAndCertify:
