@@ -183,12 +183,14 @@ def cmd_convergence_space(cfg: RunConfig) -> list[ConvergenceReport]:
         mat = cfg.material(alpha)
         problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
         errors: list[float] = []
+        dts: list[float] = []
         for n in cfg.spatial_ns:
             mesh = build_mesh(cfg.mesh_kind, n)
             dofs = build_dof_map(mesh)
             n_steps = max(1, round(cfg.final_time * n * n))   # dt = h^2/2
+            dts.append(cfg.final_time / n_steps)
             res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-                      eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q)
+                      eps=cfg.eps_for(dts[-1]), q=cfg.q)
             errors.append(exact_error(mesh, dofs, res.coeffs, problem,
                                       cfg.final_time))
         orders = _orders(errors)
@@ -197,9 +199,9 @@ def cmd_convergence_space(cfg: RunConfig) -> list[ConvergenceReport]:
         reports.append(ConvergenceReport(
             label=f"spatial {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
             rows=rows))
-        for n, e, o in zip(cfg.spatial_ns, errors, orders):
+        for n, dt, e, o in zip(cfg.spatial_ns, dts, errors, orders):
             rows_csv.append([cfg.mesh_kind.value, _fmt(alpha), str(n),
-                             _fmt(1.0 / n), _fmt(1.0 / (n * n)), _fmt(e),
+                             _fmt(1.0 / n), _fmt(dt), _fmt(e),
                              _fmt(o) if o is not None else ""])
     _write_csv(cfg.out_dir / "convergence_space.csv",
                ["mesh_kind", "alpha", "n", "h_over_sqrt2", "dt", "error", "order"],
@@ -325,7 +327,9 @@ def cmd_single_run(cfg: RunConfig, n: int, n_steps: int) -> dict:
     return {"scheme": scheme.value, "n": n, "n_steps": n_steps, "alpha": alpha,
             "error": err, "wall_total": wall,
             "wall_history": res.timings.wall_history,
-            "peak_history_bytes": res.peak_history_bytes, "n_exp": res.n_exp}
+            "peak_history_bytes": res.peak_history_bytes, "n_exp": res.n_exp,
+            "lag_deviation": (None if res.soe is None
+                              else res.soe.lag_deviation)}
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +447,12 @@ def main(argv: list[str] | None = None) -> int:
                       f"mem={rec['peak_history_bytes']}B n_exp={rec['n_exp']}")
         elif args.command == "single-run":
             rec = cmd_single_run(cfg, args.n, args.n_steps)
+            lag_dev = ("" if rec["lag_deviation"] is None
+                       else f" lag_dev={rec['lag_deviation']:.1e}")
             print(f"{rec['scheme']} n={rec['n']} N={rec['n_steps']} "
                   f"alpha={rec['alpha']} error={rec['error']:.5e} "
-                  f"wall={rec['wall_total']:.3f}s n_exp={rec['n_exp']}")
+                  f"wall={rec['wall_total']:.3f}s n_exp={rec['n_exp']}"
+                  + lag_dev)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,11 @@ keeps enlarging the rule until the measured deviation from the reference
 kernel drops below the requested tolerance; the measured value is recorded on
 the result.  The tail beyond q^K is dropped and absorbed into certification.
 
+The stepper only consumes the lag weights theta_1..theta_N of the sum, so
+:func:`compress_soe` then keeps the few rates that reproduce those N weights
+(column-pivoted QR of the lag-weight matrix, a nonnegative refit) and checks
+the result on every lag.
+
 A fixed, much tighter panel rule is the production kernel engine,
 :func:`exp_convolution`: it gives the load factor I(t) and the kernel
 antiderivative for whole time tables at once.  ``mlf`` is its oracle.
@@ -22,9 +27,11 @@ antiderivative for whole time tables at once.  ``mlf`` is its oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
+from scipy.optimize import nnls
 from scipy.special import exprel
 
 from . import mlf
@@ -41,6 +48,12 @@ ENGINE_TOL = 1e-9
 #: Entries of each (times x nodes) temporary: 128 KB, so tables add no RSS.
 ENGINE_BLOCK = 1 << 14
 
+#: Compression: the compressed sum's lag weights must match the built sum's
+#: within COMPRESS_RTOL * theta_1 on every lag 1..N.  The fit uses lags
+#: 1..FIT_DENSE and FIT_PER_OCTAVE geometric lags per octave up to N.
+COMPRESS_RTOL = 1e-10
+FIT_DENSE, FIT_PER_OCTAVE = 64, 8
+
 
 @dataclass
 class Panel:
@@ -52,7 +65,14 @@ class Panel:
 
 @dataclass
 class SoeApprox:
-    """Certified exponential-sum representation of E_alpha(-t**alpha)."""
+    """Certified exponential-sum representation of E_alpha(-t**alpha).
+
+    eps_certified is the build's pointwise deviation on [t_min, t_max].  A
+    sum returned by compress_soe keeps that figure but is certified only on
+    the lags l dt >= dt of one step size: lag_deviation is its measured
+    max_l |theta'_l - theta_l| against the sum it was compressed from (None
+    for a built sum).
+    """
 
     alpha: float
     q: float
@@ -63,6 +83,7 @@ class SoeApprox:
     eps_target: float
     eps_certified: float = field(default=math.inf)
     down_panels: int = 0
+    lag_deviation: float | None = None
 
     @property
     def n_exp(self) -> int:
@@ -143,6 +164,84 @@ class MemoryState:
     @property
     def nbytes(self) -> int:
         return self.h.nbytes
+
+
+def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
+                  n_max: int) -> np.ndarray:
+    """Lag weights theta_1..theta_{n_max} of the equivalent convolution form,
+
+    theta_l = sum_j gain_j decay_j^(l-1)
+            = sum_j (b_j tau_sigma / a_j)(e^{-(l-1) dt a_j/tau_sigma}
+                                          - e^{-l dt a_j/tau_sigma}),
+
+    so that sum_j H_j(v^n) = sum_{i=0}^{n-1} theta_{n-i} v^i; evaluated in
+    blocks of ENGINE_BLOCK (lags x exponentials) entries.
+    """
+    gain = MemoryState(soe, dt, tau_sigma, ()).gain
+    rate = soe.nodes * dt / tau_sigma
+    out = np.empty(n_max)
+    rows = max(1, ENGINE_BLOCK // soe.n_exp)
+    for lo in range(0, n_max, rows):
+        past = np.arange(lo, min(lo + rows, n_max))    # l - 1
+        # e^{-(l-1) rate}: a third of the time of decay ** (l-1)
+        out[lo:lo + past.size] = np.exp(np.multiply.outer(-past, rate)) @ gain
+    return out
+
+
+def compress_soe(soe: SoeApprox, dt: float, tau_sigma: float,
+                 n_steps: int) -> SoeApprox:
+    """The fewest of soe's rates, with refitted positive weights, whose lag
+    weights theta'_1..theta'_N match soe's within COMPRESS_RTOL * theta_1.
+
+    A column-pivoted QR of the lag-weight matrix G[l, j] = gain_j
+    decay_j^(l-1) on the fit lags (columns scaled to unit norm) orders the
+    rates; the subset size r is the first at which Q^T theta says the
+    least-squares residual is below a quarter of the bound.  NNLS refits the
+    first r pivoted rates and the zero weights are dropped; if that misses
+    the bound on some lag 1..N, NNLS over all rates is tried (its positive
+    set is at most as large as the fit set).  soe itself is returned when
+    both miss, when it has one exponential, or for a run of one step, which
+    reads theta_1 only.
+    """
+    if soe.n_exp == 1 or n_steps <= 1:
+        return soe
+    mem = MemoryState(soe, dt, tau_sigma, ())
+    # rates whose gain is 0 (decay rounds to 1, or underflow) carry nothing
+    live = np.flatnonzero(mem.gain > 0.0)
+    n_geo = (1 + math.ceil(FIT_PER_OCTAVE * math.log2(n_steps / FIT_DENSE))
+             if n_steps > FIT_DENSE else 0)
+    lags = np.union1d(np.arange(1, min(n_steps, FIT_DENSE) + 1),
+                      np.geomspace(FIT_DENSE, n_steps, n_geo).round())
+    powers = np.exp(np.multiply.outer(1.0 - lags, soe.nodes[live] * dt
+                                      / tau_sigma))
+    powers[powers < 1e-30] = 0.0    # subnormals slow the QR a hundredfold
+    theta = theta_weights(soe, dt, tau_sigma, n_steps)
+    target = powers @ mem.gain[live] / theta[0]
+    scale = np.linalg.norm(powers, axis=0)    # >= 1: lag 1 gives 1
+    basis = powers / scale
+    q, _, perm = scipy.linalg.qr(basis, mode="economic", pivoting=True)
+    # residual norm of the least-squares fit by the first k pivoted columns
+    resid = np.sqrt(np.cumsum((q.T @ target)[::-1] ** 2)[::-1])
+    r = np.count_nonzero(resid > COMPRESS_RTOL / 4.0)
+    for cols in (np.sort(perm[:r]), np.arange(live.size)):
+        try:
+            # these columns are ill-conditioned: Lawson-Hanson can need
+            # more than scipy's default 3 iterations per column
+            coef, _ = nnls(basis[:, cols], target, maxiter=10 * cols.size)
+        except RuntimeError:    # iteration limit reached
+            continue
+        keep = cols[coef > 0.0]
+        gain = coef[coef > 0.0] * theta[0] / scale[keep]
+        idx = live[keep]
+        approx = replace(soe, nodes=soe.nodes[idx],
+                         weights=gain * soe.nodes[idx]
+                         / (tau_sigma * (1.0 - mem.decay[idx])))
+        dev = float(np.max(np.abs(
+            theta_weights(approx, dt, tau_sigma, n_steps) - theta)))
+        if dev <= COMPRESS_RTOL * theta[0]:
+            approx.lag_deviation = dev
+            return approx
+    return soe
 
 
 def eval_soe(soe: SoeApprox, t) -> np.ndarray | float:

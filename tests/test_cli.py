@@ -78,6 +78,14 @@ class TestSubcommands:
         assert rows[0][-1] == ""          # no order at the first level
         assert float(rows[1][-1]) > 1.0   # refinement reduces the error
 
+    def test_convergence_space_dt_is_the_step_used(self, tmp_path):
+        # T n^2 = 4.8 rounds to 5 steps: dt = 0.3 / 5, not 1 / n^2
+        cfg = RunConfig(spatial_ns=(4,), alphas=(0.5,), final_time=0.3,
+                        out_dir=tmp_path / "out")
+        cmd_convergence_space(cfg)
+        _, rows = read_csv(tmp_path / "out" / "convergence_space.csv")
+        assert rows[0][4] == f"{0.3 / 5:.5e}"
+
     def test_convergence_time_csv(self, tmp_path):
         cfg = RunConfig(n_steps_list=(4, 8), mesh_n=8, alphas=(0.5,),
                         out_dir=tmp_path / "out")
@@ -127,7 +135,9 @@ class TestSubcommands:
         code = main(["single-run", "--n", "4", "--n-steps", "2",
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "error=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "error=" in out
+        assert "lag_dev=" in out
 
 
 class TestExitCodes:

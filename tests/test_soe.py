@@ -1,6 +1,7 @@
 """Tests for the sum-of-exponentials kernel compression."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from fracvisco.errors import BudgetExceeded
 from fracvisco.mlf import ml_integral
-from fracvisco.soe import (SoeApprox, _assemble, _engine_rules, build_panels,
-                           build_soe, certify_soe, eval_soe, gauss_legendre,
+from fracvisco.soe import (COMPRESS_RTOL, SoeApprox, _assemble, _engine_rules,
+                           build_panels, build_soe, certify_soe, compress_soe,
+                           eval_soe, gauss_legendre, theta_weights,
                            write_table)
 
 
@@ -185,6 +187,50 @@ class TestBuildAndCertify:
     def test_certified_accuracy_property(self, alpha, scale):
         soe = build_soe(alpha, 1e-4, 10.0, 1e-3 * scale, 2.0 * scale)
         assert soe.eps_certified <= 1e-4
+
+
+def _run_soe(alpha, n_steps, tau=0.5):
+    """The sum stepper.run builds for n_steps steps on [0, 1]."""
+    dt = 1.0 / n_steps
+    return build_soe(alpha, dt / 10.0, 10.0, dt / (10.0 * tau), 1.0 / tau)
+
+
+class TestCompress:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n_steps", [5, 256, 4096])
+    def test_matches_lag_weights_on_every_lag(self, alpha, n_steps):
+        dt, tau = 1.0 / n_steps, 0.5
+        built = _run_soe(alpha, n_steps)
+        small = compress_soe(built, dt, tau, n_steps)
+        theta = theta_weights(built, dt, tau, n_steps)
+        dev = np.abs(theta_weights(small, dt, tau, n_steps) - theta).max()
+        assert dev <= COMPRESS_RTOL * theta[0]
+        assert small.lag_deviation == dev
+        assert small.n_exp <= min(n_steps, built.n_exp)
+        # a subset of the built rates, every refitted weight positive
+        assert np.all(np.isin(small.nodes, built.nodes))
+        assert np.all(small.weights > 0.0)
+        # the build's pointwise certificate is kept as it was
+        assert small.eps_certified == built.eps_certified
+
+    def test_alpha_one_and_one_step_pass_through(self):
+        exact = build_soe(1.0, 1e-3, 10.0, 1e-3, 2.0)
+        assert compress_soe(exact, 0.01, 0.5, 100) is exact
+        built = _run_soe(0.5, 1)
+        assert compress_soe(built, 1.0, 0.5, 1) is built
+        assert built.lag_deviation is None
+
+    def test_perturbed_refit_weight_fails_the_bound(self):
+        dt, tau, n_steps = 1.0 / 256, 0.5, 256
+        built = _run_soe(0.5, n_steps)
+        small = compress_soe(built, dt, tau, n_steps)
+        theta = theta_weights(built, dt, tau, n_steps)
+        for k in range(small.n_exp):
+            weights = small.weights.copy()
+            weights[k] *= 1.0 + 1e-6
+            bad = replace(small, weights=weights)
+            dev = np.abs(theta_weights(bad, dt, tau, n_steps) - theta).max()
+            assert dev > COMPRESS_RTOL * theta[0]
 
 
 class TestWriteTable:

@@ -261,6 +261,34 @@ class TestRun:
         res = run(prob, mesh, Scheme.FAST, 8, soe=soe)
         assert res.n_exp == soe.n_exp
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_compressed_run_matches_built_soe(self, alpha):
+        # the sum run() builds and compresses, against the built sum as given
+        mesh = build_mesh("quad", 8)
+        prob = get_problem("ex61", Material(alpha=alpha))
+        n_steps, tau = 64, prob.material.tau_sigma
+        dt = prob.final_time / n_steps
+        built = build_soe(alpha, dt / 10.0, 10, t_min=dt / (10.0 * tau),
+                          t_max=prob.final_time / tau)
+        own = run(prob, mesh, Scheme.FAST, n_steps)
+        given = run(prob, mesh, Scheme.FAST, n_steps, soe=built)
+        assert own.n_exp < given.n_exp == built.n_exp
+        scale = np.abs(given.coeffs).max()
+        assert np.abs(own.coeffs - given.coeffs).max() < 1e-9 * scale
+
+    def test_compression_shrinks_the_history(self):
+        mesh = build_mesh("quad", 4)
+        prob = get_problem("ex61")
+        n_steps, tau = 256, prob.material.tau_sigma
+        dt = prob.final_time / n_steps
+        built = build_soe(0.5, dt / 10.0, 10, t_min=dt / (10.0 * tau),
+                          t_max=prob.final_time / tau)
+        res = run(prob, mesh, Scheme.FAST, n_steps)
+        assert res.n_exp <= built.n_exp / 4
+        assert res.soe.lag_deviation is not None
+        assert res.soe.eps_certified == built.eps_certified
+        assert run(prob, mesh, Scheme.DIRECT, 4).soe is None
+
     def test_result_metadata(self):
         mesh = build_mesh("quad", 5)
         prob = get_problem("ex61")
