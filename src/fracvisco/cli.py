@@ -326,6 +326,7 @@ def cmd_single_run(cfg: RunConfig, n: int, n_steps: int) -> dict:
     err = exact_error(mesh, dofs, res.coeffs, problem, cfg.final_time)
     return {"scheme": scheme.value, "n": n, "n_steps": n_steps, "alpha": alpha,
             "error": err, "wall_total": wall,
+            "wall_setup": res.timings.wall_setup,
             "wall_history": res.timings.wall_history,
             "peak_history_bytes": res.peak_history_bytes, "n_exp": res.n_exp,
             "lag_deviation": (None if res.soe is None
@@ -451,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
                        else f" lag_dev={rec['lag_deviation']:.1e}")
             print(f"{rec['scheme']} n={rec['n']} N={rec['n_steps']} "
                   f"alpha={rec['alpha']} error={rec['error']:.5e} "
-                  f"wall={rec['wall_total']:.3f}s n_exp={rec['n_exp']}"
+                  f"wall={rec['wall_total']:.3f}s "
+                  f"setup={rec['wall_setup']:.3f}s n_exp={rec['n_exp']}"
                   + lag_dev)
         return 0
     except (ValueError, OSError) as exc:

@@ -75,20 +75,3 @@ def build_mesh(kind: MeshKind | str, n: int) -> Mesh:
     return Mesh(kind=kind, n=n, vertices=vertices, cells=cells,
                 boundary_vertex=boundary)
 
-
-def cell_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every cell (shoelace), positive for CCW ordering."""
-    pts = mesh.vertices[mesh.cells]  # (n_cells, k, 2)
-    x, y = pts[..., 0], pts[..., 1]
-    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    return 0.5 * np.sum(x * yn - xn * y, axis=1)
-
-
-def dump_mesh(mesh: Mesh, path: str) -> None:
-    """Plain-text dump: header 'kind n', vertex lines, then cell lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mesh.kind.value} {mesh.n}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for cell in mesh.cells:
-            fh.write(" ".join(str(v) for v in cell) + "\n")

@@ -6,6 +6,10 @@ the solution separates, the weak-form load factors into three fixed dof
 vectors scaled by g'(t), g(t), and the kernel convolution factor
 I(t) = int_0^t beta(t - s) e^{-s} ds, so per-step load assembly is a linear
 combination rather than a fresh quadrature.
+
+:func:`precompute_loads` gathers everything a run needs that depends on the
+mesh and the problem but not on the time step: those three vectors, the
+matrices A, M and B, and the Ritz initial datum.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fem import DofMap, Material, elastic_load, l2_error, mass_load
+from .fem import (DofMap, Material, a_form_matrix, assemble_mass,
+                  b_form_matrix, elastic_load, l2_error, mass_load, spd_solver)
 from .mesh import Mesh
-from .mlf import kernel_beta
-from .soe import MemoryState, SoeApprox, exp_convolution
+from .soe import exp_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -112,25 +117,37 @@ def get_problem(name: str, material: Material | None = None,
 
 @dataclass(frozen=True)
 class LoadPrecomputation:
-    """The three fixed vectors of the separable weak-form load."""
+    """The per-mesh operators of a run: the three fixed vectors of the
+    separable weak-form load, the matrices A, M and B, and the Ritz datum."""
 
     p_mass: np.ndarray   # <V, phi_i>
     p_a: np.ndarray      # a(V, phi_i)
     p_b: np.ndarray      # b(V, phi_i)
+    a_mat: sp.csr_matrix
+    mass: sp.csr_matrix
+    b_mat: sp.csr_matrix
+    v0: np.ndarray       # Ritz projection of V: A v0 = p_a
 
 
 def precompute_loads(mesh: Mesh, dofs: DofMap,
                      problem: ManufacturedProblem) -> LoadPrecomputation:
+    """Assemble what a run on this mesh needs independently of dt.
+
+    The Ritz right-hand side is p_a itself, and the C-tensor part of p_b is
+    rho p_a, so each elastic integral of V is taken once.
+    """
     mat = problem.material
-    p_mass = mass_load(mesh, dofs, problem.spatial_value)
+    a_mat = a_form_matrix(mesh, dofs, mat)
     p_a = elastic_load(mesh, dofs, problem.spatial_gradient,
                        mat.mu_c, mat.lambda_c, 1.0 / mat.rho)
-    p_b = (elastic_load(mesh, dofs, problem.spatial_gradient,
-                        mat.mu_c, mat.lambda_c, 1.0)
+    p_b = (mat.rho * p_a
            - mat.ratio_alpha
            * elastic_load(mesh, dofs, problem.spatial_gradient,
                           mat.mu_d, mat.lambda_d, 1.0)) / mat.rho
-    return LoadPrecomputation(p_mass=p_mass, p_a=p_a, p_b=p_b)
+    return LoadPrecomputation(
+        p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
+        p_b=p_b, a_mat=a_mat, mass=assemble_mass(mesh, dofs),
+        b_mat=b_form_matrix(mesh, dofs, mat), v0=spd_solver(a_mat)(p_a))
 
 
 def conv_factor_grid(alpha: float, tau_sigma: float,
@@ -166,65 +183,3 @@ def exact_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray,
                 problem: ManufacturedProblem, t: float) -> float:
     """L2 distance between the FE coefficients and the exact field at time t."""
     return l2_error(mesh, dofs, coeffs, problem.exact_at(t))
-
-
-# ---------------------------------------------------------------------------
-# stress reconstruction (off-by-default post-processing)
-
-class StressReconstructor:
-    """Quadrature-point stress via the constitutive law in relaxation form.
-
-    sigma(t) = C eps(v(t)) - conv(t) + iota0(t), where conv is the kernel
-    convolution of (C - (tau_eps/tau_sigma)^alpha D) eps(v) and
-    iota0(t) = beta(t) (sigma0 - C eps(u0)).  The convolution is carried by
-    the velocity's MemoryState recursion, applied to Voigt strains
-    (xx, yy, xy) at every quadrature point.
-
-    Strains must be supplied by the caller per step via update(); the class
-    is agnostic to how they were sampled as long as the array shape is
-    fixed (n_points, 3).
-    """
-
-    def __init__(self, material: Material, soe: SoeApprox, dt: float,
-                 n_points: int,
-                 sigma0_minus_c_eps_u0: np.ndarray | None = None):
-        self.material = material
-        self.dt = dt
-        self.memory = MemoryState(soe, dt, material.tau_sigma, (n_points, 3))
-        self.iota_base = (np.zeros((n_points, 3))
-                          if sigma0_minus_c_eps_u0 is None
-                          else np.asarray(sigma0_minus_c_eps_u0, dtype=float))
-        self.time = 0.0
-        self.prev_strain: np.ndarray | None = None
-
-    @staticmethod
-    def _apply_isotropic(mu: float, lam: float, strain: np.ndarray) -> np.ndarray:
-        """Voigt (xx, yy, xy) image of 2 mu eps + lam tr(eps) I."""
-        tr = strain[..., 0] + strain[..., 1]
-        out = np.empty_like(strain)
-        out[..., 0] = 2.0 * mu * strain[..., 0] + lam * tr
-        out[..., 1] = 2.0 * mu * strain[..., 1] + lam * tr
-        out[..., 2] = 2.0 * mu * strain[..., 2]
-        return out
-
-    def update(self, strain: np.ndarray) -> None:
-        """Advance one step with the velocity strain of the completed level."""
-        strain = np.asarray(strain, dtype=float)
-        if self.prev_strain is not None:
-            self.memory.advance(self.prev_strain)
-        self.prev_strain = strain
-        self.time += self.dt
-
-    def stress(self) -> np.ndarray:
-        """Voigt stress at the current level (call after update)."""
-        if self.prev_strain is None:
-            raise ValueError("no strain data supplied yet")
-        mat = self.material
-        strain = self.prev_strain
-        c_part = self._apply_isotropic(mat.mu_c, mat.lambda_c, strain)
-        conv_strain = self.memory.total()
-        b_part = (self._apply_isotropic(mat.mu_c, mat.lambda_c, conv_strain)
-                  - mat.ratio_alpha
-                  * self._apply_isotropic(mat.mu_d, mat.lambda_d, conv_strain))
-        iota = kernel_beta(mat.alpha, mat.tau_sigma, self.time) * self.iota_base
-        return c_part - b_part + iota

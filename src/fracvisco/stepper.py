@@ -18,8 +18,13 @@ The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
 engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
 exceed the available physical memory raises BudgetExceeded up front.
 
-The system matrix is constant, so it is factored once per run; a step
-whose velocity is not finite raises SolveFailure naming the step.
+The matrices A, M and B, the load vectors and the Ritz initial datum do not
+depend on dt: they come from the per-mesh bundle of
+:func:`fracvisco.problems.precompute_loads`, which callers sweeping N on one
+mesh build once and pass as ``pre``.  A run builds only what depends on dt:
+the factor of M/dt + A (once per run), the I(t) table, the SOE and its
+compression, and the history storage.  A step whose velocity is not finite
+raises SolveFailure naming the step.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, SolveFailure
-from .fem import (DofMap, Material, a_form_matrix, assemble_mass,
-                  b_form_matrix, build_dof_map, ritz_project, spd_solver)
+from .fem import DofMap, Material, build_dof_map, spd_solver
+# unused here; perfbench's tracer patches these names in this module
+from .fem import (a_form_matrix, assemble_mass, b_form_matrix,  # noqa: F401
+                  ritz_project)
 from .mesh import Mesh
-# unused here; perfbench's tracer patches the name in this module
 from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
                        conv_factor_grid, precompute_loads)
@@ -52,6 +58,11 @@ class Scheme(str, Enum):
 
 @dataclass
 class Timings:
+    """wall_setup: time before the first step (kernel tables, SOE build and
+    compression, factorisation, and the per-mesh bundle if not passed);
+    wall_total: the step loop, of which wall_history and wall_solve."""
+
+    wall_setup: float = 0.0
     wall_total: float = 0.0
     wall_history: float = 0.0
     wall_solve: float = 0.0
@@ -114,28 +125,29 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
 
     eps defaults to dt/10 for the SOE-based schemes.  A sum built here is
     compressed to the run's lag weights; a prebuilt soe is used as given and
-    overrides eps.  conv_values may carry the kernel convolution factors
-    I(t_n) for n = 1..n_steps if already tabulated.
+    overrides eps.  pre is the per-mesh bundle of precompute_loads for this
+    mesh, dofs and problem, built here when not given.  conv_values may
+    carry the kernel convolution factors I(t_n) for n = 1..n_steps if
+    already tabulated.
     """
+    t_setup = time.perf_counter()
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     mat = problem.material
     if dofs is None:
         dofs = build_dof_map(mesh)
     _check_memory(scheme, n_steps, dofs.n_dofs)
-    a_mat = a_form_matrix(mesh, dofs, mat)
-    v = ritz_project(mesh, dofs, a_mat, mat, problem.spatial_gradient)
-    timings = Timings()
-    if n_steps == 0:
-        return RunResult(coeffs=v, timings=timings, peak_history_bytes=0,
-                         soe=None, n_steps=0, dt=0.0)
-
-    dt = problem.final_time / n_steps
-    mass = assemble_mass(mesh, dofs)
-    b_mat = b_form_matrix(mesh, dofs, mat)
-    system = TimeStepSystem(mass, a_mat, dt)
     if pre is None:
         pre = precompute_loads(mesh, dofs, problem)
+    v = pre.v0
+    timings = Timings()
+    if n_steps == 0:
+        return RunResult(coeffs=v.copy(), timings=timings,
+                         peak_history_bytes=0, soe=None, n_steps=0, dt=0.0)
+
+    dt = problem.final_time / n_steps
+    mass, b_mat = pre.mass, pre.b_mat
+    system = TimeStepSystem(mass, pre.a_mat, dt)
     times = dt * np.arange(1, n_steps + 1)
     if conv_values is None:
         conv_values = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
@@ -166,6 +178,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         weights_rev = weights[::-1].copy()
 
     t_start = time.perf_counter()
+    timings.wall_setup = t_start - t_setup
     for n in range(1, n_steps + 1):
         load = assemble_load(pre, times[n - 1], mat.alpha, mat.tau_sigma,
                              conv_value=conv_values[n - 1])

@@ -138,6 +138,7 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "error=" in out
         assert "lag_dev=" in out
+        assert "setup=" in out
 
 
 class TestExitCodes:

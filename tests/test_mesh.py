@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracvisco.errors import InvalidSize
-from fracvisco.mesh import MeshKind, build_mesh, cell_areas, dump_mesh
+from fracvisco.mesh import build_mesh
+
+
+def cell_areas(mesh):
+    """Signed area of every cell (shoelace), positive for CCW ordering."""
+    pts = mesh.vertices[mesh.cells]  # (n_cells, k, 2)
+    x, y = pts[..., 0], pts[..., 1]
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    return 0.5 * np.sum(x * yn - xn * y, axis=1)
 
 
 class TestBuildMesh:
@@ -80,18 +88,3 @@ class TestAreas:
         quad = cell_areas(build_mesh("quad", 4))
         assert np.allclose(quad, 1.0 / 16.0)
 
-
-class TestDump:
-    def test_round_trip_text(self, tmp_path):
-        mesh = build_mesh(MeshKind.TRIANGULAR, 2)
-        path = tmp_path / "mesh.txt"
-        dump_mesh(mesh, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "tri 2"
-        assert len(lines) == 1 + 9 + 8
-        verts = np.array([[float(c) for c in ln.split()]
-                          for ln in lines[1:10]])
-        assert np.array_equal(verts, mesh.vertices)
-        cells = np.array([[int(c) for c in ln.split()]
-                          for ln in lines[10:]])
-        assert np.array_equal(cells, mesh.cells)

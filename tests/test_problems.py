@@ -1,4 +1,4 @@
-"""Tests for the manufactured problems, loads, and stress reconstruction."""
+"""Tests for the manufactured problems and the per-mesh load bundle."""
 
 import math
 
@@ -8,14 +8,13 @@ from scipy.integrate import quad
 
 from fracvisco.errors import QuadratureFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
-                           b_form_matrix, build_dof_map, mass_load, ritz_project,
-                           spd_solver)
+                           b_form_matrix, build_dof_map, elastic_load,
+                           mass_load, ritz_project, spd_solver)
 from fracvisco.mesh import build_mesh
-from fracvisco.mlf import kernel_antiderivative, kernel_beta
-from fracvisco.problems import (LoadPrecomputation, StressReconstructor,
-                                assemble_load, conv_factor, conv_factor_grid,
-                                exact_error, get_problem, precompute_loads)
-from fracvisco.soe import build_soe
+from fracvisco.mlf import kernel_beta
+from fracvisco.problems import (LoadPrecomputation, assemble_load, conv_factor,
+                                conv_factor_grid, exact_error, get_problem,
+                                precompute_loads)
 
 
 def fd_gradient(field, x, y, h=1e-6):
@@ -132,9 +131,12 @@ class TestLoads:
         assert np.allclose(coef, [-g, g, -it], atol=1e-10)
 
     def test_conv_value_override(self):
+        unused = np.full((1, 1), np.nan)
         pre = LoadPrecomputation(p_mass=np.array([1.0]),
                                  p_a=np.array([2.0]),
-                                 p_b=np.array([4.0]))
+                                 p_b=np.array([4.0]), a_mat=unused,
+                                 mass=unused, b_mat=unused,
+                                 v0=np.array([np.nan]))
         got = assemble_load(pre, 0.0, 0.5, 0.5, conv_value=0.25)
         assert got[0] == pytest.approx(-1.0 + 2.0 - 1.0)
 
@@ -203,51 +205,32 @@ class TestLoads:
         assert err == pytest.approx(math.exp(-1.0) / math.sqrt(2.0), rel=1e-6)
 
 
-class TestStressReconstructor:
-    def _soe(self, alpha=0.5):
-        return build_soe(alpha, 1e-8, 10.0, 1e-4, 4.0)
 
-    def test_requires_strain(self):
-        soe = self._soe()
-        rec = StressReconstructor(Material(), soe, dt=0.1, n_points=2)
-        with pytest.raises(ValueError):
-            rec.stress()
+class TestPerMeshBundle:
+    @pytest.mark.parametrize("kind,name", [("quad", "ex61"), ("tri", "ex62")])
+    def test_operators_and_ritz_datum(self, kind, name):
+        mesh = build_mesh(kind, 6)
+        dofs = build_dof_map(mesh)
+        mat = Material(alpha=0.3)
+        prob = get_problem(name, mat)
+        pre = precompute_loads(mesh, dofs, prob)
+        a = a_form_matrix(mesh, dofs, mat)
+        for got, want in ((pre.a_mat, a), (pre.mass, assemble_mass(mesh, dofs)),
+                          (pre.b_mat, b_form_matrix(mesh, dofs, mat))):
+            assert (got != want).nnz == 0
+        v0 = ritz_project(mesh, dofs, a, mat, prob.spatial_gradient)
+        assert np.array_equal(pre.v0, v0)
 
-    def test_degenerate_memory_gives_pure_elastic_stress(self):
-        mat = Material(tau_sigma=1.0, tau_eps=1.0, mu_d=1.0, lambda_d=1.0)
-        soe = self._soe()
-        rng = np.random.default_rng(5)
-        rec = StressReconstructor(mat, soe, dt=0.05, n_points=4)
-        for _ in range(6):
-            strain = rng.standard_normal((4, 3))
-            rec.update(strain)
-        expected = StressReconstructor._apply_isotropic(
-            mat.mu_c, mat.lambda_c, strain)
-        assert np.allclose(rec.stress(), expected, atol=1e-12)
-
-    def test_constant_strain_convolution_weight(self):
-        # with constant unit strain the accumulated memory equals the kernel
-        # antiderivative up to one-step and compression error
-        mat = Material()
-        soe = self._soe(mat.alpha)
-        dt = 0.01
-        n_steps = 50
-        rec = StressReconstructor(mat, soe, dt=dt, n_points=1)
-        strain = np.array([[1.0, 0.0, 0.0]])
-        for _ in range(n_steps):
-            rec.update(strain)
-        conv = rec.memory.total()[0, 0]
-        ref = kernel_antiderivative(mat.alpha, mat.tau_sigma,
-                                    (n_steps - 1) * dt)
-        assert conv == pytest.approx(ref, rel=0.05)
-
-    def test_initial_history_term_decays_with_kernel(self):
-        mat = Material()
-        soe = self._soe(mat.alpha)
-        base = np.array([[2.0, -1.0, 0.5]])
-        rec = StressReconstructor(mat, soe, dt=0.1, n_points=1,
-                                  sigma0_minus_c_eps_u0=base)
-        rec.update(np.zeros((1, 3)))
-        sigma = rec.stress()
-        expected = kernel_beta(mat.alpha, mat.tau_sigma, 0.1) * base
-        assert np.allclose(sigma, expected, atol=1e-10)
+    def test_memory_load_is_integrated_once_per_tensor(self):
+        # the C part of p_b is rho p_a; against the two-integral form
+        mesh = build_mesh("quad", 6)
+        dofs = build_dof_map(mesh)
+        mat = Material(rho=2.5)
+        prob = get_problem("ex61", mat)
+        pre = precompute_loads(mesh, dofs, prob)
+        grad = prob.spatial_gradient
+        p_b = (elastic_load(mesh, dofs, grad, mat.mu_c, mat.lambda_c)
+               - mat.ratio_alpha
+               * elastic_load(mesh, dofs, grad, mat.mu_d, mat.lambda_d)) / mat.rho
+        assert np.allclose(pre.p_b, p_b, rtol=0.0,
+                           atol=1e-14 * np.abs(p_b).max())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fracvisco import fem, problems, stepper
 from fracvisco.errors import BudgetExceeded, SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
                            b_form_matrix, build_dof_map, ritz_project)
@@ -255,6 +256,46 @@ class TestRun:
         assert direct.peak_history_bytes == n_steps * dofs.n_dofs * 8
         assert direct.n_exp == 0
 
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_given_bundle_is_bit_identical(self, kind):
+        mesh = build_mesh(kind, 5)
+        dofs = build_dof_map(mesh)
+        prob = get_problem("ex62", Material(alpha=0.3))
+        pre = precompute_loads(mesh, dofs, prob)
+        for scheme in Scheme:
+            own = run(prob, mesh, scheme, 12, dofs=dofs)
+            given = run(prob, mesh, scheme, 12, dofs=dofs, pre=pre)
+            assert np.array_equal(own.coeffs, given.coeffs)
+
+    def test_given_bundle_assembles_nothing(self, monkeypatch):
+        # a run given the per-mesh bundle builds only what depends on dt:
+        # no assembly, no load integral, one factorisation (M/dt + A)
+        mesh = build_mesh("quad", 5)
+        dofs = build_dof_map(mesh)
+        prob = get_problem("ex61")
+        pre = precompute_loads(mesh, dofs, prob)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-mesh work repeated in a run")
+
+        for module in (fem, problems, stepper):
+            for name in ("a_form_matrix", "assemble_mass", "b_form_matrix",
+                         "assemble_elastic", "elastic_load", "mass_load",
+                         "ritz_project", "precompute_loads"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        factored = []
+
+        def counting_solver(mat):
+            factored.append(mat.shape)
+            return fem.spd_solver(mat)
+
+        monkeypatch.setattr(stepper, "spd_solver", counting_solver)
+        for scheme in Scheme:
+            factored.clear()
+            run(prob, mesh, scheme, 6, dofs=dofs, pre=pre)
+            assert factored == [(dofs.n_dofs, dofs.n_dofs)]
+
     def test_prebuilt_soe_reused(self, soe):
         mesh = build_mesh("quad", 5)
         prob = get_problem("ex61")
@@ -297,6 +338,7 @@ class TestRun:
         assert res.n_steps == 4
         assert res.dt == pytest.approx(0.25)
         assert res.timings.wall_total > 0.0
+        assert res.timings.wall_setup > 0.0
 
     def test_error_decreases_under_time_refinement(self):
         mesh = build_mesh("quad", 24)
