@@ -118,7 +118,8 @@ def get_problem(name: str, material: Material | None = None,
 @dataclass(frozen=True)
 class LoadPrecomputation:
     """The per-mesh operators of a run: the three fixed vectors of the
-    separable weak-form load, the matrices A, M and B, and the Ritz datum."""
+    separable weak-form load, the matrices A, M and B, the Ritz datum, and
+    the material they were built for."""
 
     p_mass: np.ndarray   # <V, phi_i>
     p_a: np.ndarray      # a(V, phi_i)
@@ -127,6 +128,7 @@ class LoadPrecomputation:
     mass: sp.csr_matrix
     b_mat: sp.csr_matrix
     v0: np.ndarray       # Ritz projection of V: A v0 = p_a
+    material: Material
 
 
 def precompute_loads(mesh: Mesh, dofs: DofMap,
@@ -147,7 +149,8 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
     return LoadPrecomputation(
         p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
         p_b=p_b, a_mat=a_mat, mass=assemble_mass(mesh, dofs),
-        b_mat=b_form_matrix(mesh, dofs, mat), v0=spd_solver(a_mat)(p_a))
+        b_mat=b_form_matrix(mesh, dofs, mat), v0=spd_solver(a_mat)(p_a),
+        material=mat)
 
 
 def conv_factor_grid(alpha: float, tau_sigma: float,

@@ -14,6 +14,13 @@ Three interchangeable history treatments are provided:
   w_{n,i} = A_beta(t_n - t_i) - A_beta(t_n - t_{i+1}) (O(n) work per step,
   O(N) storage; the accuracy baseline).
 
+Direct and theta take their lag sum in blocks of HISTORY_BLOCK steps: at a
+block's first step n, one GEMM applies the block's Toeplitz slice of lag
+weights to the stored v^0..v^{n-1} for every step of the block, and each step
+adds only its own rows since the block began (at most HISTORY_BLOCK - 1).
+The work is still O(n) per step, but most of it runs at matrix-matrix speed
+instead of streaming the whole history once per step.
+
 The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
 engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
 exceed the available physical memory raises BudgetExceeded up front.
@@ -21,7 +28,8 @@ exceed the available physical memory raises BudgetExceeded up front.
 The matrices A, M and B, the load vectors and the Ritz initial datum do not
 depend on dt: they come from the per-mesh bundle of
 :func:`fracvisco.problems.precompute_loads`, which callers sweeping N on one
-mesh build once and pass as ``pre``.  A run builds only what depends on dt:
+mesh build once and pass as ``pre``; a bundle built for another material or
+dof count raises ValueError.  A run builds only what depends on dt:
 the factor of M/dt + A (once per run), the I(t) table, the SOE and its
 compression, and the history storage.  A step whose velocity is not finite
 raises SolveFailure naming the step.
@@ -36,6 +44,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, SolveFailure
 from .fem import DofMap, Material, build_dof_map, spd_solver
@@ -48,6 +57,8 @@ from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
                        conv_factor_grid, precompute_loads)
 from .soe import (MemoryState, SoeApprox, build_soe, compress_soe,
                   exp_convolution, theta_weights)
+
+HISTORY_BLOCK = 32  # steps per block GEMM of the direct/theta history
 
 
 class Scheme(str, Enum):
@@ -103,12 +114,16 @@ class TimeStepSystem:
 
 def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
     """Refuse a run whose N-sized arrays (direct/theta history; times, I(t)
-    and lag-weight tables) exceed the available physical memory."""
+    and lag-weight tables) exceed the available physical memory.  Direct
+    and theta also count the block temporaries, the HISTORY_BLOCK x N
+    weight slice and the HISTORY_BLOCK x n_dofs block sums."""
     try:
         avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError):  # platform cannot report it
         return
-    need = 8 * n_steps * ((0 if scheme is Scheme.FAST else n_dofs) + 3)
+    need = 8 * n_steps * 3
+    if scheme is not Scheme.FAST:
+        need += 8 * (n_steps * n_dofs + HISTORY_BLOCK * (n_steps + n_dofs))
     if need > avail:
         raise BudgetExceeded(
             f"{scheme.value} run with N = {n_steps} steps and n_dofs = "
@@ -126,7 +141,8 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     eps defaults to dt/10 for the SOE-based schemes.  A sum built here is
     compressed to the run's lag weights; a prebuilt soe is used as given and
     overrides eps.  pre is the per-mesh bundle of precompute_loads for this
-    mesh, dofs and problem, built here when not given.  conv_values may
+    mesh, dofs and problem, built here when not given; a bundle built for
+    another material or dof count raises ValueError.  conv_values may
     carry the kernel convolution factors I(t_n) for n = 1..n_steps if
     already tabulated.
     """
@@ -139,6 +155,11 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     _check_memory(scheme, n_steps, dofs.n_dofs)
     if pre is None:
         pre = precompute_loads(mesh, dofs, problem)
+    elif pre.material != mat or pre.mass.shape[0] != dofs.n_dofs:
+        raise ValueError(
+            f"the per-mesh bundle was built for {pre.material} on "
+            f"{pre.mass.shape[0]} dofs; this run has {mat} on "
+            f"{dofs.n_dofs} dofs")
     v = pre.v0
     timings = Timings()
     if n_steps == 0:
@@ -187,9 +208,21 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
             mem.advance(v)
             rhs_hist = b_mat @ mem.total()
         else:
-            # weights[l-1] is the lag-l weight; v^i gets lag n - i, so the
-            # contiguous suffix weights_rev[n_steps - n:] lines up with v^0..v^{n-1}
-            rhs_hist = b_mat @ (weights_rev[n_steps - n:] @ history[:n])
+            # weights[l-1] is the lag-l weight and v^i gets lag n - i, so the
+            # contiguous suffix weights_rev[n_steps - n:] lines up with
+            # v^0..v^{n-1}.  At a block's first step one GEMM sums the rows
+            # v^0..v^{start-1} for every step of the block (row k of the
+            # window slice holds the lags start + k - i); each step then
+            # adds only its own rows v^start..v^{n-1}.
+            k = (n - 1) % HISTORY_BLOCK
+            if k == 0:
+                start = n
+                nb = min(HISTORY_BLOCK, n_steps - n + 1)
+                lags = sliding_window_view(weights_rev, n)[
+                    n_steps - n - nb + 1:n_steps - n + 1]
+                far = np.ascontiguousarray(lags[::-1]) @ history[:n]
+            near = weights_rev[n_steps - n + start:] @ history[start:n]
+            rhs_hist = b_mat @ (far[k] + near)
         h1 = time.perf_counter()
         rhs = mass @ v / dt + rhs_hist + load
         v_new = system.solve(rhs)

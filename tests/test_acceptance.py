@@ -220,6 +220,7 @@ class TestCriterion5SchemeEquivalence:
 
 _BENCH_DRIVER = """
 import json
+import statistics
 from fracvisco.fem import build_dof_map
 from fracvisco.mesh import build_mesh
 from fracvisco.problems import get_problem, precompute_loads
@@ -232,10 +233,14 @@ pre = precompute_loads(mesh, dofs, prob)
 out = {"n_dofs": dofs.n_dofs}
 for scheme in ("fast", "direct"):
     for n_steps in (2000, 4000):
-        res = run(prob, mesh, Scheme(scheme), n_steps, dofs=dofs,
-                  eps=1e-6, pre=pre)
+        samples = []
+        for _ in range(3):
+            res = run(prob, mesh, Scheme(scheme), n_steps, dofs=dofs,
+                      eps=1e-6, pre=pre)
+            samples.append(res.timings.wall_history)
         out[f"{scheme}_{n_steps}"] = {
-            "wall_history": res.timings.wall_history,
+            "wall_history": statistics.median(samples),
+            "samples": samples,
             "peak_history_bytes": res.peak_history_bytes,
             "n_exp": res.n_exp}
 print(json.dumps(out))
@@ -245,7 +250,8 @@ print(json.dumps(out))
 class TestCriterion6CostScaling:
     def test_history_cost_and_memory(self):
         # timed in a fresh interpreter so the measurement is not skewed by
-        # this process's accumulated allocator state
+        # this process's accumulated allocator state; each history time is
+        # the median of 3 repeats
         import json
         import subprocess
         import sys
@@ -267,9 +273,14 @@ class TestCriterion6CostScaling:
             if res["peak_history_bytes"] != res["n_exp"] * data["n_dofs"] * 8:
                 failures.append(f"fast memory at N={n_steps}: "
                                 f"{res['peak_history_bytes']} bytes")
+        samples = "; ".join(
+            f"{key} " + "/".join(f"{t:.2f}" for t in data[key]["samples"])
+            for key in ("fast_2000", "fast_4000", "direct_2000",
+                        "direct_4000"))
         report(6, not failures,
                f"fast ratio {fast_ratio:.2f} (want 2), direct ratio "
-               f"{direct_ratio:.2f} (want 4), memory = N_exp dof-vectors"
+               f"{direct_ratio:.2f} (want 4), memory = N_exp dof-vectors; "
+               f"history s [{samples}]"
                + (f"; {failures}" if failures else ""))
         assert not failures, failures
 

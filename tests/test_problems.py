@@ -136,7 +136,8 @@ class TestLoads:
                                  p_a=np.array([2.0]),
                                  p_b=np.array([4.0]), a_mat=unused,
                                  mass=unused, b_mat=unused,
-                                 v0=np.array([np.nan]))
+                                 v0=np.array([np.nan]),
+                                 material=Material())
         got = assemble_load(pre, 0.0, 0.5, 0.5, conv_value=0.25)
         assert got[0] == pytest.approx(-1.0 + 2.0 - 1.0)
 

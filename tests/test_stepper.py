@@ -155,6 +155,16 @@ class TestRun:
         scale = np.abs(fast.coeffs).max()
         assert np.abs(fast.coeffs - theta.coeffs).max() < 1e-10 * scale
 
+    def test_fast_equals_theta_across_blocks(self):
+        # N = 65 takes the theta lag sum across two block boundaries
+        assert stepper.HISTORY_BLOCK == 32
+        mesh = build_mesh("quad", 6)
+        prob = get_problem("ex61")
+        fast = run(prob, mesh, Scheme.FAST, 65)
+        theta = run(prob, mesh, Scheme.THETA, 65)
+        scale = np.abs(fast.coeffs).max()
+        assert np.abs(fast.coeffs - theta.coeffs).max() < 1e-10 * scale
+
     def test_fast_approaches_direct_with_tight_soe(self):
         mesh = build_mesh("quad", 6)
         prob = get_problem("ex61")
@@ -216,13 +226,15 @@ class TestRun:
             v = np.linalg.solve(lhs, mass @ v / dt + load)
         assert np.abs(res.coeffs - v).max() < 1e-10
 
-    def test_direct_scheme_manual_replay(self):
-        # replay the explicit-history recursion with dense algebra
+    @pytest.mark.parametrize("n_steps", [5, 31, 32, 33, 97])
+    def test_direct_scheme_manual_replay(self, n_steps):
+        # replay the explicit-history recursion with dense algebra, one
+        # weighted sum per step; the step counts straddle the block size
+        assert stepper.HISTORY_BLOCK == 32
         prob = get_problem("ex61")
         mat = prob.material
         mesh = build_mesh("tri", 4)
         dofs = build_dof_map(mesh)
-        n_steps = 5
         res = run(prob, mesh, Scheme.DIRECT, n_steps, dofs=dofs)
 
         dt = prob.final_time / n_steps
@@ -244,6 +256,22 @@ class TestRun:
             v = np.linalg.solve(lhs, mass @ v / dt + b @ lagged + load)
             hist.append(v)
         assert np.abs(res.coeffs - v).max() < 1e-9
+
+    def test_bundle_of_another_material_refused(self):
+        mesh = build_mesh("quad", 8)
+        dofs = build_dof_map(mesh)
+        other = precompute_loads(mesh, dofs,
+                                 get_problem("ex61", Material(alpha=0.3)))
+        with pytest.raises(ValueError, match="alpha=0.3.*alpha=0.5"):
+            run(get_problem("ex61", Material(alpha=0.5)), mesh,
+                Scheme.FAST, 20, dofs=dofs, pre=other)
+
+    def test_bundle_of_another_mesh_refused(self):
+        prob = get_problem("ex61")
+        coarse = build_mesh("quad", 4)
+        pre = precompute_loads(coarse, build_dof_map(coarse), prob)
+        with pytest.raises(ValueError, match="18 dofs.*98 dofs"):
+            run(prob, build_mesh("quad", 8), Scheme.DIRECT, 4, pre=pre)
 
     def test_peak_history_bytes(self):
         mesh = build_mesh("quad", 6)
