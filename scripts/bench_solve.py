@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""SPD factor and solve timings and benchmark pairs for BENCH_band_solve.json.
+
+    python3 scripts/bench_solve.py --label change
+    python3 scripts/bench_solve.py --label parent --src OTHER_CHECKOUT/src
+    python3 scripts/bench_solve.py --pairs PARENT_CHECKOUT CHANGE_CHECKOUT \\
+        --workload temporal-ladder --seeds 501-510
+
+The first two forms time ``fem.spd_solver`` on the backward-Euler matrix
+M/dt + A at dt = 0.5/n^2, for quad and tri meshes at n = 16, 32, 64 and 128,
+with the source tree given by ``--src`` (default: this repository's
+``src``) and one BLAS thread.  Each case records the factor time (the
+``spd_solver`` call), the time of one solve and of one 3-column solve
+(each the median of 3 samples), n_dofs, the half-bandwidth and the entries
+the factor stores (L + U nonzeros for a SuperLU factor, (bandwidth + 1) *
+n_dofs for a band factor).  The record also holds the machine and is merged
+into the output file under ``records[label]``.
+
+The third form is ``scripts/bench_history.py --pairs``: it runs
+``perfbench/run.py`` in two checkouts, alternating which goes first, and
+merges the pairs under ``perfbench_pairs[workload]``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from bench_history import machine, pairs_record, seed_list
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = tuple((kind, n) for n in (16, 32, 64, 128) for kind in ("quad", "tri"))
+REPEATS = 3
+SAMPLE_S = 0.05  # least wall time of one solve sample
+
+
+def median_time(fn, reps: int = 1) -> float:
+    """Median over REPEATS samples of the mean time of ``reps`` calls."""
+    samples = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        samples.append((time.perf_counter() - t0) / reps)
+    return statistics.median(samples)
+
+
+def solve_record(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import numpy as np
+    import scipy.sparse as sp
+    from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
+                               build_dof_map, spd_solver)
+    from fracvisco.mesh import build_mesh
+
+    rng = np.random.default_rng(0)
+    cases = []
+    for kind, n in CASES:
+        mesh = build_mesh(kind, n)
+        dofs = build_dof_map(mesh)
+        lhs = (assemble_mass(mesh, dofs) / (0.5 / n ** 2)
+               + a_form_matrix(mesh, dofs, Material())).tocsr()
+        upper = sp.triu(lhs, format="coo")
+        bw = int((upper.col - upper.row).max())
+        factor_s = median_time(lambda: spd_solver(lhs))
+        solve = spd_solver(lhs)
+        lu = getattr(solve, "__self__", None)  # SuperLU.solve is a bound method
+        stored = (lu.L.nnz + lu.U.nnz if lu is not None
+                  else (bw + 1) * dofs.n_dofs)
+        rhs = rng.standard_normal(dofs.n_dofs)
+        rhs3 = rng.standard_normal((dofs.n_dofs, 3))
+        t0 = time.perf_counter()
+        solve(rhs)
+        reps = max(1, round(SAMPLE_S / (time.perf_counter() - t0)))
+        solve_s = median_time(lambda: solve(rhs), reps)
+        solve3_s = median_time(lambda: solve(rhs3), max(1, reps // 3))
+        cases.append({"mesh": kind, "n": n, "n_dofs": dofs.n_dofs,
+                      "half_bandwidth": bw,
+                      "factor": "superlu" if lu is not None else "band",
+                      "factor_entries": int(stored), "factor_s": factor_s,
+                      "solve_s": solve_s, "solve_3rhs_s": solve3_s})
+        print(f"{kind} n={n}: factor {1e3 * factor_s:.2f} ms, solve "
+              f"{1e6 * solve_s:.1f} us, 3-rhs {1e6 * solve3_s:.1f} us",
+              file=sys.stderr)
+    return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "dt": "0.5 / n^2", "repeats": REPEATS, "machine": machine(),
+            "cases": cases}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", help="record name, e.g. parent or change")
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--pairs", nargs=2, type=Path,
+                    metavar=("PARENT", "CHANGE"))
+    ap.add_argument("--workload", default="temporal-ladder")
+    ap.add_argument("--seeds", type=seed_list, default=seed_list("501-510"))
+    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_band_solve.json")
+    args = ap.parse_args()
+    if (args.label is None) == (args.pairs is None):
+        ap.error("give exactly one of --label and --pairs")
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.label is not None:
+        # before numpy loads, so that its BLAS and LAPACK start one thread
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
+        data.setdefault("records", {})[args.label] = solve_record(args.src)
+    else:
+        data.setdefault("perfbench_pairs", {})[args.workload] = pairs_record(
+            *args.pairs, args.workload, args.seeds, args.seconds)
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,10 @@ square) is a translate of a representative cell, so element matrices are
 computed once per class and scattered.
 
 Assembled matrices are scipy CSR; the mass matrix and the a-form matrix are
-SPD, the b-form matrix is symmetric but may be indefinite or zero.
+SPD, the b-form matrix is symmetric but may be indefinite or zero.  Interior
+vertices are numbered row-major, so every matrix has half-bandwidth 2n + 1
+in dof order, and SPD systems are solved by a LAPACK band Cholesky factor
+(:func:`spd_solver`).
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .errors import SolveFailure
+from .errors import SolveFailure, require_memory
 from .mesh import Mesh, MeshKind
 
 
@@ -301,16 +304,39 @@ def l2_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray, exact) -> float:
 # linear algebra
 
 def spd_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the SPD matrix once (SuperLU, minimum-degree ordering of
-    A^T + A, no pivoting: safe for SPD) and return its solve; a singular
-    factor raises SolveFailure naming the size."""
-    try:
-        lu = spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolveFailure(f"factorisation of the {mat.shape[0]}-dof system "
-                           f"failed: {exc}") from exc
-    return lu.solve
+    """Factor the SPD matrix once (LAPACK band Cholesky, dpbtrf) and return
+    its solve (dpbtrs).
+
+    The band is the matrix's own half-bandwidth: 2n + 1 on the uniform
+    (n+1)^2 meshes with row-major vertices and two components per vertex.
+    Only the upper triangle is read, so a matrix that is not symmetric to
+    1e-12 of its largest entry raises ValueError; a band that does not fit
+    in the available physical memory raises BudgetExceeded before it is
+    allocated; a factor that is not positive definite raises SolveFailure
+    naming the size and the leading minor."""
+    n = mat.shape[0]
+    scale = abs(mat).max()
+    asym = abs(mat - mat.T).max()
+    if asym > 1e-12 * scale:
+        raise ValueError(f"spd_solver needs a symmetric matrix: the {n}-dof "
+                         f"matrix has |mat - mat^T| = {asym:.3e} against "
+                         f"max|mat| = {scale:.3e}")
+    upper = sp.triu(mat, format="coo")
+    bw = int((upper.col - upper.row).max(initial=0))
+    require_memory(8 * (bw + 1) * n, f"the band factor of the {n}-dof system "
+                   f"(half-bandwidth {bw})")
+    ab = np.zeros((bw + 1, n), order="F")
+    ab[bw + upper.row - upper.col, upper.col] = upper.data
+    factor, info = dpbtrf(ab, overwrite_ab=1)
+    if info > 0:
+        raise SolveFailure(f"factorisation of the {n}-dof system failed: the "
+                           f"leading minor of order {info} is not positive "
+                           f"definite")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return dpbtrs(factor, rhs)[0]
+
+    return solve
 
 
 def ritz_project(mesh: Mesh, dofs: DofMap, a_matrix: sp.csr_matrix,

@@ -1,6 +1,8 @@
 """Backward-Euler time stepping for the velocity-form viscoelastic equation.
 
-Each step solves the SPD system (M/dt + A) v^n = M v^{n-1}/dt + history + load.
+Each step solves the SPD system (M/dt + A) v^n = M v^{n-1}/dt + history + load
+with the band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once
+per run.
 Three interchangeable history treatments are provided:
 
 - fast: sum-of-exponentials memory variables, one recursion per exponential
@@ -37,7 +39,6 @@ raises SolveFailure naming the step.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, SolveFailure
+from .errors import SolveFailure, require_memory
 from .fem import DofMap, Material, build_dof_map, spd_solver
 # unused here; perfbench's tracer patches these names in this module
 from .fem import (a_form_matrix, assemble_mass, b_form_matrix,  # noqa: F401
@@ -105,7 +106,8 @@ def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
 
 
 class TimeStepSystem:
-    """Constant backward-Euler matrix M/dt + A, factored once per run."""
+    """Constant backward-Euler matrix M/dt + A (``lhs``), factored once per
+    run by a LAPACK band Cholesky; ``solve`` applies the factor."""
 
     def __init__(self, mass: sp.csr_matrix, a_mat: sp.csr_matrix, dt: float):
         self.lhs = (mass / dt + a_mat).tocsr()
@@ -117,18 +119,11 @@ def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
     and lag-weight tables) exceed the available physical memory.  Direct
     and theta also count the block temporaries, the HISTORY_BLOCK x N
     weight slice and the HISTORY_BLOCK x n_dofs block sums."""
-    try:
-        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError):  # platform cannot report it
-        return
     need = 8 * n_steps * 3
     if scheme is not Scheme.FAST:
         need += 8 * (n_steps * n_dofs + HISTORY_BLOCK * (n_steps + n_dofs))
-    if need > avail:
-        raise BudgetExceeded(
-            f"{scheme.value} run with N = {n_steps} steps and n_dofs = "
-            f"{n_dofs} needs {need} bytes of history and kernel tables; "
-            f"{avail} bytes of physical memory are available")
+    require_memory(need, f"{scheme.value} run with N = {n_steps} steps and "
+                   f"n_dofs = {n_dofs} (history and kernel tables)")
 
 
 def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,

@@ -1,11 +1,13 @@
 """Tests for the vector P1/Q1 finite element assembly and solvers."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from fracvisco.errors import SolveFailure
+from fracvisco.errors import BudgetExceeded, SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_elastic,
                            assemble_mass, b_form_matrix, build_dof_map,
                            elastic_load, l2_error, mass_load, ritz_project,
@@ -215,6 +217,40 @@ class TestSolvers:
         singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolveFailure, match="2-dof"):
             spd_solver(singular)
+
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_band_factor_matches_dense_solve(self, kind):
+        mesh = build_mesh(kind, 8)
+        dofs = build_dof_map(mesh)
+        lhs = (assemble_mass(mesh, dofs) / (0.5 / 64)
+               + a_form_matrix(mesh, dofs, Material()))
+        rhs = np.random.default_rng(7).standard_normal(dofs.n_dofs)
+        ref = np.linalg.solve(lhs.toarray(), rhs)
+        x = spd_solver(lhs)(rhs)
+        assert np.abs(x - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_indefinite_matrix_raises(self):
+        indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(SolveFailure, match="2-dof"):
+            spd_solver(indefinite)
+
+    def test_non_symmetric_matrix_raises(self):
+        lopsided = sp.csr_matrix(np.array([[4.0, 1.0, 0.0],
+                                           [0.0, 4.0, 1.0],
+                                           [0.0, 0.0, 4.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            spd_solver(lopsided)
+
+    def test_band_beyond_memory_refused(self):
+        n = 10 ** 6
+        corners = sp.csr_matrix((np.array([2.0, 1.0, 1.0, 2.0]),
+                                 (np.array([0, 0, n - 1, n - 1]),
+                                  np.array([0, n - 1, 0, n - 1]))),
+                                shape=(n, n))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="half-bandwidth 999999"):
+            spd_solver(corners)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestRitzProjection:
