@@ -10,9 +10,13 @@ The first two forms time the direct scheme's history (``wall_history``, the
 median of 3 runs in this process) on quad n = 16 at N = 1500 (the
 benchmark's direct-long run) and on quad n = 64 at N = 2000 and 4000 (the
 direct half of acceptance criterion 6), with the source tree given by
-``--src`` (default: this repository's ``src``).  The record also holds
-n_dofs, the stepper's HISTORY_BLOCK (null where the tree has none) and the
-machine, and is merged into the output file under ``records[label]``.
+``--src`` (default: this repository's ``src``) and one BLAS thread.  Raw
+seconds swing with the load of a shared host, so each case also times
+perfbench's fixed reference work (``perfbench/reference.py``) before and
+after its samples and records the median in reference seconds as well,
+raw * REF_S / (mean reference time).  The record also holds n_dofs, the
+stepper's HISTORY_BLOCK (null where the tree has none) and the machine, and
+is merged into the output file under ``records[label]``.
 
 The third form runs ``perfbench/run.py`` in two checkouts, alternating which
 goes first, one pair per seed, and merges each side's end-to-end metrics per
@@ -39,6 +43,28 @@ BETTER = {"wall_s": "lower", "setup_s": "lower", "dof_steps_per_s": "higher",
           "l2_error_ratio": "lower"}
 
 
+def one_blas_thread() -> None:
+    """Pin BLAS and LAPACK to one thread; call before numpy loads."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+
+
+class ReferenceClock:
+    """perfbench's reference work, run before and after a case: ``around``
+    returns the case's result and the mean reference time next to it; raw
+    seconds * ref_s / that time are reference seconds."""
+
+    def __init__(self) -> None:
+        sys.path.append(str(ROOT / "perfbench"))
+        from reference import REF_S, Reference
+        self.ref_s, self.work = REF_S, Reference()
+
+    def around(self, measure):
+        before = self.work.run()
+        out = measure()
+        return out, (before + self.work.run()) / 2
+
+
 def machine() -> dict:
     import numpy
     import scipy
@@ -55,20 +81,24 @@ def history_record(src: Path) -> dict:
     from fracvisco.problems import get_problem, precompute_loads
 
     prob = get_problem("ex61")
+    clock = ReferenceClock()
     cases = []
     for n, n_steps in CASES:
         mesh = build_mesh("quad", n)
         dofs = build_dof_map(mesh)
         pre = precompute_loads(mesh, dofs, prob)
-        samples = [stepper.run(prob, mesh, stepper.Scheme.DIRECT, n_steps,
-                               dofs=dofs, pre=pre).timings.wall_history
-                   for _ in range(REPEATS)]
+        samples, ref_time = clock.around(lambda: [
+            stepper.run(prob, mesh, stepper.Scheme.DIRECT, n_steps,
+                        dofs=dofs, pre=pre).timings.wall_history
+            for _ in range(REPEATS)])
+        median = statistics.median(samples)
+        median_ref = median * clock.ref_s / ref_time
         cases.append({"mesh": "quad", "n": n, "n_steps": n_steps,
-                      "n_dofs": dofs.n_dofs,
-                      "wall_history_s": statistics.median(samples),
-                      "samples_s": samples})
-        print(f"quad n={n} N={n_steps}: wall_history median "
-              f"{statistics.median(samples):.3f} s", file=sys.stderr)
+                      "n_dofs": dofs.n_dofs, "wall_history_s": median,
+                      "samples_s": samples, "reference_s": ref_time,
+                      "wall_history_ref_s": median_ref})
+        print(f"quad n={n} N={n_steps}: wall_history median {median:.3f} s, "
+              f"{median_ref:.3f} reference s", file=sys.stderr)
     return {"history_block": getattr(stepper, "HISTORY_BLOCK", None),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "machine": machine(), "cases": cases}
@@ -144,6 +174,7 @@ def main() -> None:
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.label is not None:
+        one_blas_thread()
         data.setdefault("records", {})[args.label] = history_record(args.src)
     else:
         data.setdefault("perfbench_pairs", {})[args.workload] = pairs_record(

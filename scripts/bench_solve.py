@@ -13,8 +13,11 @@ with the source tree given by ``--src`` (default: this repository's
 ``spd_solver`` call), the time of one solve and of one 3-column solve
 (each the median of 3 samples), n_dofs, the half-bandwidth and the entries
 the factor stores (L + U nonzeros for a SuperLU factor, (bandwidth + 1) *
-n_dofs for a band factor).  The record also holds the machine and is merged
-into the output file under ``records[label]``.
+n_dofs for a band factor).  Each case also times perfbench's reference work
+before and after its samples (``reference_s``) and gives the three medians
+in reference seconds as well (``*_ref_s``), as ``bench_history.py`` does.
+The record also holds the machine and is merged into the output file under
+``records[label]``.
 
 The third form is ``scripts/bench_history.py --pairs``: it runs
 ``perfbench/run.py`` in two checkouts, alternating which goes first, and
@@ -31,7 +34,8 @@ import sys
 import time
 from pathlib import Path
 
-from bench_history import machine, pairs_record, seed_list
+from bench_history import (ReferenceClock, machine, one_blas_thread,
+                           pairs_record, seed_list)
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = tuple((kind, n) for n in (16, 32, 64, 128) for kind in ("quad", "tri"))
@@ -59,6 +63,7 @@ def solve_record(src: Path) -> dict:
     from fracvisco.mesh import build_mesh
 
     rng = np.random.default_rng(0)
+    clock = ReferenceClock()
     cases = []
     for kind, n in CASES:
         mesh = build_mesh(kind, n)
@@ -67,7 +72,6 @@ def solve_record(src: Path) -> dict:
                + a_form_matrix(mesh, dofs, Material())).tocsr()
         upper = sp.triu(lhs, format="coo")
         bw = int((upper.col - upper.row).max())
-        factor_s = median_time(lambda: spd_solver(lhs))
         solve = spd_solver(lhs)
         lu = getattr(solve, "__self__", None)  # SuperLU.solve is a bound method
         stored = (lu.L.nnz + lu.U.nnz if lu is not None
@@ -77,13 +81,20 @@ def solve_record(src: Path) -> dict:
         t0 = time.perf_counter()
         solve(rhs)
         reps = max(1, round(SAMPLE_S / (time.perf_counter() - t0)))
-        solve_s = median_time(lambda: solve(rhs), reps)
-        solve3_s = median_time(lambda: solve(rhs3), max(1, reps // 3))
+        (factor_s, solve_s, solve3_s), ref_time = clock.around(lambda: (
+            median_time(lambda: spd_solver(lhs)),
+            median_time(lambda: solve(rhs), reps),
+            median_time(lambda: solve(rhs3), max(1, reps // 3))))
+        scale = clock.ref_s / ref_time
         cases.append({"mesh": kind, "n": n, "n_dofs": dofs.n_dofs,
                       "half_bandwidth": bw,
                       "factor": "superlu" if lu is not None else "band",
                       "factor_entries": int(stored), "factor_s": factor_s,
-                      "solve_s": solve_s, "solve_3rhs_s": solve3_s})
+                      "solve_s": solve_s, "solve_3rhs_s": solve3_s,
+                      "reference_s": ref_time,
+                      "factor_ref_s": factor_s * scale,
+                      "solve_ref_s": solve_s * scale,
+                      "solve_3rhs_ref_s": solve3_s * scale})
         print(f"{kind} n={n}: factor {1e3 * factor_s:.2f} ms, solve "
               f"{1e6 * solve_s:.1f} us, 3-rhs {1e6 * solve3_s:.1f} us",
               file=sys.stderr)
@@ -108,10 +119,7 @@ def main() -> None:
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.label is not None:
-        # before numpy loads, so that its BLAS and LAPACK start one thread
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = "1"
+        one_blas_thread()
         data.setdefault("records", {})[args.label] = solve_record(args.src)
     else:
         data.setdefault("perfbench_pairs", {})[args.workload] = pairs_record(

@@ -20,7 +20,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import FracViscoError
 from .fem import Material, build_dof_map
 from .mesh import MeshKind, build_mesh
 from .problems import conv_factor_grid, exact_error, get_problem, precompute_loads
-from .soe import build_soe, certify_soe, write_table
+from .soe import build_soe, write_table
 from .stepper import Scheme, run
 
 SPATIAL_LADDER = (4, 8, 16, 32, 64)
@@ -73,27 +73,6 @@ class RunConfig:
         raise ValueError(f"unknown eps rule {self.eps_rule!r}")
 
 
-@dataclass
-class ConvergenceRow:
-    level: int
-    resolution: float     # h/sqrt(2) for spatial, dt for temporal
-    error: float
-    order: float | None
-
-
-@dataclass
-class ConvergenceReport:
-    label: str
-    rows: list[ConvergenceRow]
-
-    def format(self) -> str:
-        lines = [self.label, f"{'level':>5} {'h or dt':>12} {'error':>12} {'order':>7}"]
-        for r in self.rows:
-            order = f"{r.order:7.2f}" if r.order is not None else "     --"
-            lines.append(f"{r.level:5d} {r.resolution:12.5e} {r.error:12.5e} {order}")
-        return "\n".join(lines)
-
-
 def _orders(errors: list[float]) -> list[float | None]:
     out: list[float | None] = [None]
     for prev, cur in zip(errors, errors[1:]):
@@ -103,6 +82,17 @@ def _orders(errors: list[float]) -> list[float | None]:
 
 def _fmt(x: float) -> str:
     return f"{x:.5e}"
+
+
+def _ladder_table(label: str, resolutions: list[float], errors: list[float],
+                  orders: list[float | None]) -> str:
+    """The printed ladder: label, header, then per level its h/sqrt(2) or
+    dt, error and observed order ("--" on the first)."""
+    lines = [label, f"{'level':>5} {'h or dt':>12} {'error':>12} {'order':>7}"]
+    for level, (res, err, order) in enumerate(zip(resolutions, errors, orders)):
+        order_text = "     --" if order is None else f"{order:7.2f}"
+        lines.append(f"{level + 1:5d} {res:12.5e} {err:12.5e} {order_text}")
+    return "\n".join(lines)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -175,8 +165,8 @@ def _svg_loglog(path: Path, title: str, xlabel: str, ylabel: str,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_convergence_space(cfg: RunConfig) -> list[ConvergenceReport]:
-    reports = []
+def cmd_convergence_space(cfg: RunConfig) -> list[str]:
+    tables = []
     rows_csv: list[list[str]] = []
     scheme = Scheme.DIRECT if cfg.scheme == "direct" else Scheme.FAST
     for alpha in cfg.alphas:
@@ -194,11 +184,9 @@ def cmd_convergence_space(cfg: RunConfig) -> list[ConvergenceReport]:
             errors.append(exact_error(mesh, dofs, res.coeffs, problem,
                                       cfg.final_time))
         orders = _orders(errors)
-        rows = [ConvergenceRow(level=i + 1, resolution=1.0 / n, error=e, order=o)
-                for i, (n, e, o) in enumerate(zip(cfg.spatial_ns, errors, orders))]
-        reports.append(ConvergenceReport(
-            label=f"spatial {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
-            rows=rows))
+        tables.append(_ladder_table(
+            f"spatial {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
+            [1.0 / n for n in cfg.spatial_ns], errors, orders))
         for n, dt, e, o in zip(cfg.spatial_ns, dts, errors, orders):
             rows_csv.append([cfg.mesh_kind.value, _fmt(alpha), str(n),
                              _fmt(1.0 / n), _fmt(dt), _fmt(e),
@@ -206,11 +194,11 @@ def cmd_convergence_space(cfg: RunConfig) -> list[ConvergenceReport]:
     _write_csv(cfg.out_dir / "convergence_space.csv",
                ["mesh_kind", "alpha", "n", "h_over_sqrt2", "dt", "error", "order"],
                rows_csv)
-    return reports
+    return tables
 
 
-def cmd_convergence_time(cfg: RunConfig) -> list[ConvergenceReport]:
-    reports = []
+def cmd_convergence_time(cfg: RunConfig) -> list[str]:
+    tables = []
     rows_csv: list[list[str]] = []
     scheme = Scheme.DIRECT if cfg.scheme == "direct" else Scheme.FAST
     mesh = build_mesh(cfg.mesh_kind, cfg.mesh_n)
@@ -227,12 +215,9 @@ def cmd_convergence_time(cfg: RunConfig) -> list[ConvergenceReport]:
             errors.append(exact_error(mesh, dofs, res.coeffs, problem,
                                       cfg.final_time))
         orders = _orders(errors)
-        rows = [ConvergenceRow(level=i + 1,
-                               resolution=cfg.final_time / ns, error=e, order=o)
-                for i, (ns, e, o) in enumerate(zip(cfg.n_steps_list, errors, orders))]
-        reports.append(ConvergenceReport(
-            label=f"temporal {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
-            rows=rows))
+        tables.append(_ladder_table(
+            f"temporal {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
+            [cfg.final_time / ns for ns in cfg.n_steps_list], errors, orders))
         for ns, e, o in zip(cfg.n_steps_list, errors, orders):
             rows_csv.append([cfg.mesh_kind.value, _fmt(alpha), str(cfg.mesh_n),
                              str(ns), _fmt(cfg.final_time / ns), _fmt(e),
@@ -240,7 +225,7 @@ def cmd_convergence_time(cfg: RunConfig) -> list[ConvergenceReport]:
     _write_csv(cfg.out_dir / "convergence_time.csv",
                ["mesh_kind", "alpha", "n", "n_steps", "dt", "error", "order"],
                rows_csv)
-    return reports
+    return tables
 
 
 def cmd_bench(cfg: RunConfig) -> list[dict]:
@@ -301,7 +286,6 @@ def cmd_bench(cfg: RunConfig) -> list[dict]:
 def cmd_soe_table(alpha: float, eps: float, q: float, t_min: float,
                   t_max: float, out_dir: Path) -> str:
     soe = build_soe(alpha, eps, q, t_min=t_min, t_max=t_max)
-    certify_soe(soe, t_min, t_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"soe_alpha{alpha}_eps{eps:.0e}.txt"
     write_table(soe, table_path)
@@ -321,7 +305,7 @@ def cmd_single_run(cfg: RunConfig, n: int, n_steps: int) -> dict:
     scheme = Scheme.DIRECT if cfg.scheme == "direct" else Scheme.FAST
     t0 = time.perf_counter()
     res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-              eps=cfg.eps_for(cfg.final_time / max(n_steps, 1)), q=cfg.q)
+              eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q)
     wall = time.perf_counter() - t0
     err = exact_error(mesh, dofs, res.coeffs, problem, cfg.final_time)
     return {"scheme": scheme.value, "n": n, "n_steps": n_steps, "alpha": alpha,
@@ -392,12 +376,13 @@ def _build_parser() -> _Parser:
                         default=None)
         sp.add_argument("--eps-rule", default=None,
                         help="dt-over-10 or fixed:<value>")
-        sp.add_argument("--mesh-n", type=int, default=None)
-        sp.add_argument("--steps", type=str, default=None,
-                        help="comma-separated step counts")
 
     for name in ("convergence-space", "convergence-time", "bench"):
-        common(sub.add_parser(name))
+        ladder_p = sub.add_parser(name)
+        common(ladder_p)
+        ladder_p.add_argument("--mesh-n", type=int, default=None)
+        ladder_p.add_argument("--steps", type=str, default=None,
+                              help="comma-separated step counts")
 
     soe_p = sub.add_parser("soe-table")
     soe_p.add_argument("--alpha", type=float, required=True)
@@ -424,6 +409,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             values[name] = parse(given)
     cfg = RunConfig(**values)
     cfg.eps_for(1.0)   # validate the eps rule early
+    schemes = ("fast", "direct") + (("both",) if args.command == "bench" else ())
+    if cfg.scheme not in schemes:
+        raise ValueError(f"{args.command} takes scheme {' or '.join(schemes)}, "
+                         f"not {cfg.scheme!r}")
+    steps, meshes = (((args.n_steps,), (args.n,))
+                     if args.command == "single-run"
+                     else (cfg.n_steps_list, cfg.spatial_ns + (cfg.mesh_n,)))
+    if min(steps) < 1 or min(meshes) < 2:
+        raise ValueError(f"step counts must be >= 1 and mesh sizes >= 2, got "
+                         f"steps {steps} and mesh sizes {meshes}")
     return cfg
 
 
@@ -436,11 +431,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = _config_from_args(args)
         if args.command == "convergence-space":
-            for report in cmd_convergence_space(cfg):
-                print(report.format())
+            print("\n".join(cmd_convergence_space(cfg)))
         elif args.command == "convergence-time":
-            for report in cmd_convergence_time(cfg):
-                print(report.format())
+            print("\n".join(cmd_convergence_time(cfg)))
         elif args.command == "bench":
             for rec in cmd_bench(cfg):
                 print(f"{rec['scheme']:6s} N={rec['n_steps']:6d} "

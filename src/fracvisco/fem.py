@@ -231,32 +231,27 @@ def b_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides and error norms (order-4 rules)
+# right-hand sides and error norms: one walk over the order-4 quadrature
+# points, one integrand each; eliminated dofs (-1) use an extra last slot
 
-def _accumulate(mesh: Mesh, dofs: DofMap, contrib_fn) -> np.ndarray:
-    """Assemble a dof vector from per-quadrature-point contributions.
-
-    contrib_fn(xq, cls, q) must return (n_cells, 2) values of the integrand's
-    vector factor at the physical points xq.
-    """
-    p = np.zeros(dofs.n_dofs)
+def _order4_points(mesh: Mesh, dofs: DofMap):
+    """Yield (element dofs, class, q, weight, (n_cells, 2) physical points)
+    for every order-4 quadrature point q of every cell class."""
     for cell_ids, cls in _classes(mesh, order4=True):
         ed = _element_dofs(mesh, dofs, cell_ids)
         origins = mesh.vertices[mesh.cells[cell_ids, 0]]
         for q, w in enumerate(cls.weights):
-            xq = origins + cls.offsets[q]
-            vals = contrib_fn(xq, cls, q)           # (nc, 2)
-            contrib = w * np.einsum("a,ci->cai", cls.basis[q], vals)
-            flat = contrib.reshape(ed.shape[0], -1)
-            keep = ed >= 0
-            np.add.at(p, ed[keep], flat[keep])
-    return p
+            yield ed, cls, q, w, origins + cls.offsets[q]
 
 
 def mass_load(mesh: Mesh, dofs: DofMap, value_fn) -> np.ndarray:
     """Vector with entries <V, phi_i> for an analytic field V(x, y)."""
-    return _accumulate(mesh, dofs,
-                       lambda xq, cls, q: np.asarray(value_fn(xq[:, 0], xq[:, 1])))
+    p = np.zeros(dofs.n_dofs + 1)
+    for ed, cls, q, w, xq in _order4_points(mesh, dofs):
+        vals = np.asarray(value_fn(xq[:, 0], xq[:, 1]))    # (nc, 2)
+        contrib = w * np.einsum("a,ci->cai", cls.basis[q], vals)
+        np.add.at(p, ed.ravel(), contrib.ravel())
+    return p[:-1]
 
 
 def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn, mu: float, lam: float,
@@ -265,38 +260,29 @@ def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn, mu: float, lam: float,
 
     grad_fn(x, y) returns G with G[..., k, l] = d V_k / d x_l.
     """
-    p = np.zeros(dofs.n_dofs)
-    for cell_ids, cls in _classes(mesh, order4=True):
-        ed = _element_dofs(mesh, dofs, cell_ids)
-        origins = mesh.vertices[mesh.cells[cell_ids, 0]]
-        for q, w in enumerate(cls.weights):
-            xq = origins + cls.offsets[q]
-            g_v = np.asarray(grad_fn(xq[:, 0], xq[:, 1]))     # (nc, 2, 2)
-            sym = g_v + np.swapaxes(g_v, -1, -2)
-            div = np.trace(g_v, axis1=-2, axis2=-1)
-            gb = cls.grads[q]                                 # (k, 2)
-            # component i of the (a, i) entry: mu*(sym @ g_a)_i + lam*div*g_a_i
-            contrib = (mu * np.einsum("cil,al->cai", sym, gb)
-                       + lam * np.einsum("c,ai->cai", div, gb))
-            flat = (w * scale) * contrib.reshape(ed.shape[0], -1)
-            keep = ed >= 0
-            np.add.at(p, ed[keep], flat[keep])
-    return p
+    p = np.zeros(dofs.n_dofs + 1)
+    for ed, cls, q, w, xq in _order4_points(mesh, dofs):
+        g_v = np.asarray(grad_fn(xq[:, 0], xq[:, 1]))     # (nc, 2, 2)
+        sym = g_v + np.swapaxes(g_v, -1, -2)
+        div = np.trace(g_v, axis1=-2, axis2=-1)
+        gb = cls.grads[q]                                 # (k, 2)
+        # component i of the (a, i) entry: mu*(sym @ g_a)_i + lam*div*g_a_i
+        contrib = (mu * np.einsum("cil,al->cai", sym, gb)
+                   + lam * np.einsum("c,ai->cai", div, gb))
+        np.add.at(p, ed.ravel(), ((w * scale) * contrib).ravel())
+    return p[:-1]
 
 
 def l2_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray, exact) -> float:
     """L2 norm of (FE field - exact) with the order-4 element rules."""
     total = 0.0
-    for cell_ids, cls in _classes(mesh, order4=True):
-        ed = _element_dofs(mesh, dofs, cell_ids)
-        vals = np.where(ed >= 0, coeffs[np.maximum(ed, 0)], 0.0)  # (nc, 2k)
-        origins = mesh.vertices[mesh.cells[cell_ids, 0]]
-        for q, w in enumerate(cls.weights):
-            xq = origins + cls.offsets[q]
-            uh = np.stack([vals[:, 0::2] @ cls.basis[q],
-                           vals[:, 1::2] @ cls.basis[q]], axis=-1)
-            diff = uh - np.asarray(exact(xq[:, 0], xq[:, 1]))
-            total += w * float(np.sum(diff * diff))
+    padded = np.append(coeffs, 0.0)
+    for ed, cls, q, w, xq in _order4_points(mesh, dofs):
+        vals = padded[ed]                                   # (nc, 2k)
+        uh = np.stack([vals[:, 0::2] @ cls.basis[q],
+                       vals[:, 1::2] @ cls.basis[q]], axis=-1)
+        diff = uh - np.asarray(exact(xq[:, 0], xq[:, 1]))
+        total += w * float(np.sum(diff * diff))
     return math.sqrt(total)
 
 

@@ -85,10 +85,6 @@ class ManufacturedProblem:
     def g(t: float) -> float:
         return math.exp(-t)
 
-    @staticmethod
-    def g_prime(t: float) -> float:
-        return -math.exp(-t)
-
     def exact_at(self, t: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         gt = self.g(t)
         return lambda x, y: gt * np.asarray(self.spatial_value(x, y))
@@ -165,21 +161,15 @@ def conv_factor_grid(alpha: float, tau_sigma: float,
     return exp_convolution(alpha, tau_sigma, times, 1.0)
 
 
-def conv_factor(alpha: float, tau_sigma: float, t: float) -> float:
-    """I(t) at one time, on the same code path as :func:`conv_factor_grid`."""
-    return float(conv_factor_grid(alpha, tau_sigma, np.array([t]))[0])
-
-
-def assemble_load(pre: LoadPrecomputation, t: float, alpha: float,
-                  tau_sigma: float, conv_value: float | None = None) -> np.ndarray:
+def assemble_load(pre: LoadPrecomputation, t: float,
+                  conv_value: float) -> np.ndarray:
     """Weak-form load g'(t) p_mass + g(t) p_a - I(t) p_b.
 
-    conv_value overrides the kernel convolution factor I(t) when it has
-    already been tabulated for the run's time grid.
+    conv_value is I(t), taken from the run's table of
+    :func:`conv_factor_grid`; g = e^{-t} gives g' = -g.
     """
     g = math.exp(-t)
-    it = conv_factor(alpha, tau_sigma, t) if conv_value is None else conv_value
-    return -g * pre.p_mass + g * pre.p_a - it * pre.p_b
+    return -g * pre.p_mass + g * pre.p_a - conv_value * pre.p_b
 
 
 def exact_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray,

@@ -113,11 +113,6 @@ def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(j)
 
 
-def _assemble(alpha: float, q: float, big_k: int, j: int,
-              down: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    return _panel_rule(alpha, build_panels(q, big_k, down), j)
-
-
 def _panel_rule(alpha: float, panels: list[Panel],
                 j: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of j-point Gauss-Legendre on each panel."""
@@ -351,13 +346,14 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float, t_max: float,
     down = max(math.ceil(alpha * math.log(1.0 / min(t_min, 1.0), q)), 0) + 1
     big_k = k0
     while True:
+        panels = build_panels(q, big_k, down)
         for j in range(8, 49, 4):
             n_panels = big_k + down + 1
             if n_panels * j > MAX_NODES:
                 raise BudgetExceeded(
                     f"{n_panels} panels x J = {j} exceeds {MAX_NODES} nodes "
                     f"before certification at eps = {eps:g}")
-            nodes, weights = _assemble(alpha, q, big_k, j, down=down)
+            nodes, weights = _panel_rule(alpha, panels, j)
             soe = SoeApprox(alpha=alpha, q=q, big_k=big_k, j_per_panel=j,
                             nodes=nodes, weights=weights, eps_target=eps,
                             down_panels=down)

@@ -196,8 +196,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     t_start = time.perf_counter()
     timings.wall_setup = t_start - t_setup
     for n in range(1, n_steps + 1):
-        load = assemble_load(pre, times[n - 1], mat.alpha, mat.tau_sigma,
-                             conv_value=conv_values[n - 1])
+        load = assemble_load(pre, times[n - 1], conv_values[n - 1])
         h0 = time.perf_counter()
         if scheme is Scheme.FAST:
             mem.advance(v)

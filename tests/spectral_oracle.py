@@ -137,6 +137,15 @@ def temporal_errors(problem_name: str, alpha: float, steps,
 
     modes is K, the number of sine modes per direction and component.
     """
+    return temporal_solutions(problem_name, alpha, steps, modes)[0]
+
+
+def temporal_solutions(problem_name: str, alpha: float, steps, modes: int
+                       ) -> tuple[list[float], list[np.ndarray]]:
+    """The errors of :func:`temporal_errors` and, per step count, the final
+    velocity's coefficients in the L2-orthonormal sine basis (component-major,
+    2 K^2 entries), so that the L2 distance of two final velocities is the
+    Euclidean distance of their coefficients."""
     default = get_problem(problem_name)
     mat = dataclasses.replace(default.material, alpha=alpha)
     prob = get_problem(problem_name, mat, default.final_time)
@@ -160,7 +169,7 @@ def temporal_errors(problem_name: str, alpha: float, steps,
                   - float(p_mass @ p_mass), 0.0)
     v_init = sla.solve(a_mat, p_a, assume_a="pos")   # Ritz projection
 
-    errors = []
+    errors, finals = [], []
     for n_steps in steps:
         dt = prob.final_time / n_steps
         times = dt * np.arange(1, n_steps + 1)
@@ -182,4 +191,5 @@ def temporal_errors(problem_name: str, alpha: float, steps,
         g = math.exp(-prob.final_time)
         diff = v - g * p_mass
         errors.append(math.sqrt(float(diff @ diff) + g * g * tail_sq))
-    return errors
+        finals.append(v)
+    return errors, finals

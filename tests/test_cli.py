@@ -1,5 +1,7 @@
 """Tests for the experiment harness CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,73 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["single-run", "--config", str(tmp_path / "nope.ini"),
                      "--n", "4", "--n-steps", "2"]) == 1
+
+    def test_ladder_flags_refused_by_single_run(self):
+        # single-run takes --n and --n-steps, not the ladders' flags
+        with pytest.raises(SystemExit) as exc:
+            main(["single-run", "--mesh-n", "8", "--steps", "99", "--n", "4",
+                  "--n-steps", "2"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence-space", "--scheme", "both"],
+        ["convergence-time", "--scheme", "both", "--mesh-n", "4",
+         "--steps", "2"],
+        ["single-run", "--scheme", "both", "--n", "4", "--n-steps", "2"],
+        ["convergence-time", "--mesh-n", "4", "--steps", "0,4"],
+        ["bench", "--mesh-n", "4", "--steps", "0"],
+        ["single-run", "--n", "4", "--n-steps", "0"],
+        ["single-run", "--n", "1", "--n-steps", "2"],
+    ], ids=["space-both", "time-both", "single-both", "time-zero-steps",
+            "bench-zero-steps", "single-zero-steps", "single-n1"])
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        # a tiny ladder, so a command that wrongly runs finishes quickly
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nspatial_ns = 4\n")
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestLadderTables:
+    """The printed tables: label, header, then per level its h/sqrt(2) or
+    dt, error and observed order, agreeing with the CSV written with them."""
+
+    HEADER = "level      h or dt        error   order"
+    ROW = re.compile(r"^ {4}(\d) ( \d\.\d{5}e-\d\d) ( \d\.\d{5}e-\d\d) (.{7})$")
+
+    def check(self, out, label, csv_path, resolutions):
+        lines = out.splitlines()
+        assert lines[:2] == [label, self.HEADER]
+        _, rows = read_csv(csv_path)
+        assert len(lines) == 2 + len(rows) == 2 + len(resolutions)
+        for level, (line, row, res) in enumerate(
+                zip(lines[2:], rows, resolutions), start=1):
+            m = self.ROW.match(line)
+            assert m, line
+            assert m[1] == str(level)
+            assert m[2] == f"{res:12.5e}"
+            assert m[3] == f"{float(row[5]):12.5e}"
+            if level == 1:
+                assert m[4] == "     --" and row[6] == ""
+            else:
+                assert m[4] == f"{float(m[4]):7.2f}"
+                assert float(m[4]) == pytest.approx(float(row[6]), abs=5e-3)
+
+    def test_convergence_space_table(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nspatial_ns = 4,8\n")
+        code = main(["convergence-space", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        self.check(capsys.readouterr().out, "spatial ex61 quad alpha=0.5",
+                   tmp_path / "convergence_space.csv", [0.25, 0.125])
+
+    def test_convergence_time_table(self, tmp_path, capsys):
+        code = main(["convergence-time", "--mesh", "tri", "--mesh-n", "4",
+                     "--steps", "2,4", "--alpha", "0.3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        self.check(capsys.readouterr().out, "temporal ex61 tri alpha=0.3",
+                   tmp_path / "convergence_time.csv", [0.5, 0.25])

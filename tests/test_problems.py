@@ -12,7 +12,7 @@ from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
                            mass_load, ritz_project, spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_beta
-from fracvisco.problems import (LoadPrecomputation, assemble_load, conv_factor,
+from fracvisco.problems import (LoadPrecomputation, assemble_load,
                                 conv_factor_grid, exact_error, get_problem,
                                 precompute_loads)
 
@@ -57,16 +57,17 @@ class TestFields:
 
 class TestConvFactor:
     def test_trivials(self):
-        assert conv_factor(0.5, 0.5, 0.0) == 0.0
+        assert conv_factor_grid(0.5, 0.5, np.array([0.0]))[0] == 0.0
         with pytest.raises(ValueError):
-            conv_factor(0.5, 0.5, -1.0)
+            conv_factor_grid(0.5, 0.5, np.array([-1.0]))[0]
 
     def test_alpha_one_closed_form(self):
         # kernel degenerates to exp(-t/tau); convolution with e^{-s} is
         # (e^{-t/tau} - e^{-t}) / (1 - 1/tau)
         tau, t = 0.5, 0.8
         expected = (math.exp(-t / tau) - math.exp(-t)) / (1.0 - 1.0 / tau)
-        assert conv_factor(1.0, tau, t) == pytest.approx(expected, rel=1e-12)
+        assert (conv_factor_grid(1.0, tau, np.array([t]))[0]
+                == pytest.approx(expected, rel=1e-12))
 
     @pytest.mark.parametrize("alpha", [0.999, 0.9999, 0.99999])
     def test_near_alpha_one_approaches_closed_form(self, alpha):
@@ -86,19 +87,14 @@ class TestConvFactor:
         ref, err = quad(lambda u: kernel_beta(alpha, tau, u) * math.exp(u - t),
                         0.0, t, epsabs=1e-11, limit=400)
         assert err < 1e-8
-        assert conv_factor(alpha, tau, t) == pytest.approx(ref, abs=1e-8)
+        assert (conv_factor_grid(alpha, tau, np.array([t]))[0]
+                == pytest.approx(ref, abs=1e-8))
 
     def test_monotone_then_positive(self):
         # the forcing e^{-s} decays, so I(t) rises early and stays positive
         vals = conv_factor_grid(0.5, 0.5, np.linspace(0.0, 2.0, 21))
         assert np.all(np.diff(vals[:11]) > 0)
         assert np.all(vals[1:] > 0)
-
-    def test_grid_matches_scalar(self):
-        times = np.array([0.0, 0.25, 1.0])
-        grid = conv_factor_grid(0.4, 0.5, times)
-        for t, v in zip(times, grid):
-            assert v == conv_factor(0.4, 0.5, float(t))
 
     def test_disagreeing_embedded_rule_raises(self, monkeypatch):
         # a 2-point check rule cannot match the 20-point rule
@@ -113,7 +109,8 @@ class TestLoads:
         dofs = build_dof_map(mesh)
         prob = get_problem("ex61")
         pre = precompute_loads(mesh, dofs, prob)
-        load = assemble_load(pre, 0.0, 0.5, 0.5)
+        it0 = conv_factor_grid(0.5, 0.5, np.array([0.0]))[0]
+        load = assemble_load(pre, 0.0, it0)
         assert np.allclose(load, -pre.p_mass + pre.p_a, atol=1e-14)
 
     def test_exact_span_coefficients(self):
@@ -123,8 +120,8 @@ class TestLoads:
         prob = get_problem("ex62", mat)
         pre = precompute_loads(mesh, dofs, prob)
         t = 0.6
-        it = conv_factor(mat.alpha, mat.tau_sigma, t)
-        load = assemble_load(pre, t, mat.alpha, mat.tau_sigma)
+        it = conv_factor_grid(mat.alpha, mat.tau_sigma, np.array([t]))[0]
+        load = assemble_load(pre, t, it)
         basis = np.column_stack([pre.p_mass, pre.p_a, pre.p_b])
         coef, res, *_ = np.linalg.lstsq(basis, load, rcond=None)
         g = math.exp(-t)
@@ -138,7 +135,7 @@ class TestLoads:
                                  mass=unused, b_mat=unused,
                                  v0=np.array([np.nan]),
                                  material=Material())
-        got = assemble_load(pre, 0.0, 0.5, 0.5, conv_value=0.25)
+        got = assemble_load(pre, 0.0, 0.25)
         assert got[0] == pytest.approx(-1.0 + 2.0 - 1.0)
 
     def test_memory_load_vanishes_for_degenerate_material(self):
@@ -155,7 +152,7 @@ class TestLoads:
         prob = get_problem("ex61", mat)
         t = 0.7
         g, gp = math.exp(-t), -math.exp(-t)
-        it = conv_factor(mat.alpha, mat.tau_sigma, t)
+        it = conv_factor_grid(mat.alpha, mat.tau_sigma, np.array([t]))[0]
         mu_b = mat.mu_c - mat.ratio_alpha * mat.mu_d
         la_b = mat.lambda_c - mat.ratio_alpha * mat.lambda_d
 
@@ -171,7 +168,7 @@ class TestLoads:
         mesh = build_mesh("quad", 8)
         dofs = build_dof_map(mesh)
         pre = precompute_loads(mesh, dofs, prob)
-        load = assemble_load(pre, t, mat.alpha, mat.tau_sigma, conv_value=it)
+        load = assemble_load(pre, t, it)
         strong_vec = mass_load(mesh, dofs, strong)
         rel = np.linalg.norm(load - strong_vec) / np.linalg.norm(load)
         assert rel < 1e-6
@@ -183,7 +180,7 @@ class TestLoads:
         prob = get_problem("ex61", mat)
         t = 0.5
         gp = -math.exp(-t)
-        it = conv_factor(mat.alpha, mat.tau_sigma, t)
+        it = conv_factor_grid(mat.alpha, mat.tau_sigma, np.array([t]))[0]
         duals = []
         for n in (8, 16, 32):
             mesh = build_mesh("quad", n)

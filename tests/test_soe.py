@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fracvisco.errors import BudgetExceeded
 from fracvisco.mlf import ml_integral
-from fracvisco.soe import (COMPRESS_RTOL, SoeApprox, _assemble, _engine_rules,
+from fracvisco.soe import (COMPRESS_RTOL, SoeApprox, _engine_rules, _panel_rule,
                            build_panels, build_soe, certify_soe, compress_soe,
                            eval_soe, gauss_legendre, theta_weights,
                            write_table)
@@ -70,19 +70,19 @@ class TestGaussLegendre:
 
 class TestAssemble:
     def test_positive_rates_and_weights(self):
-        nodes, weights = _assemble(0.5, 10.0, 4, 8, down=2)
+        nodes, weights = _panel_rule(0.5, build_panels(10.0, 4, 2), 8)
         assert np.all(nodes > 0)
         assert np.all(weights > 0)
 
     def test_weight_sum_below_one(self):
         # sum_j b_j -> E_alpha(0) = 1 from below as the rule refines
         for alpha in (0.3, 0.5, 0.8):
-            nodes, weights = _assemble(alpha, 10.0, 12, 24, down=6)
+            nodes, weights = _panel_rule(alpha, build_panels(10.0, 12, 6), 24)
             assert weights.sum() <= 1.0 + 1e-12
             assert weights.sum() > 0.9
 
     def test_node_count(self):
-        nodes, weights = _assemble(0.5, 10.0, 3, 8, down=2)
+        nodes, weights = _panel_rule(0.5, build_panels(10.0, 3, 2), 8)
         # panels: 1 base + 2 down + 3 up; 8 points each
         assert nodes.size == 6 * 8
         assert weights.size == nodes.size
@@ -141,7 +141,7 @@ class TestBuildAndCertify:
     def test_refining_j_does_not_degrade(self):
         # doubling J at fixed panels keeps the deviation from growing much
         def dev_for(j):
-            nodes, weights = _assemble(0.5, 10.0, 8, j, down=4)
+            nodes, weights = _panel_rule(0.5, build_panels(10.0, 8, 4), j)
             soe = SoeApprox(alpha=0.5, q=10.0, big_k=8, j_per_panel=j,
                             nodes=nodes, weights=weights, eps_target=1.0,
                             down_panels=4)
