@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same outputs, byte for byte.
+
+    python3 scripts/same_outputs.py PARENT_SRC [CHANGE_SRC]
+
+CHANGE_SRC defaults to this checkout's ``src``.  Each case runs once per
+tree in a fresh interpreter, with PYTHONPATH set to the tree and a
+temporary output directory.  Its stdout and every file it writes are
+compared byte for byte, with these exceptions, which are timings:
+
+- bench.csv's wall_total, wall_history and wall_solve columns are dropped;
+- bench's ``hist=...s`` stdout field is masked;
+- bench_time.svg, which plots wall_history, is not compared.
+
+The cases are the CLI ladders, bench, soe-table, and the final L2 errors
+(printed with repr, so bit for bit) of the full-size runs of each
+benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
+way ``perfbench/workloads.py`` runs them.  Prints one IDENTICAL or
+DIFFERENT line per case; exits 1 on any difference or failed run.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMING_COLUMNS = ("wall_total", "wall_history", "wall_solve")
+SPACE_CONFIG = "[run]\nspatial_ns = 4,8,16\nalphas = 0.3,0.8\n"
+
+CLI = "import sys\nfrom fracvisco.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+# The runs of one workload, called as perfbench/workloads.py calls them.
+PINNED_RUNS = """\
+import sys
+import numpy as np
+from fracvisco import fem, mesh, problems, stepper
+from fracvisco.cli import RunConfig
+sys.path.insert(0, sys.argv[1])
+from spec import plan
+workload, cfg = sys.argv[2], RunConfig()
+for group in plan(workload):
+    first = group[0]
+    msh = mesh.build_mesh(first.kind, first.n)
+    dofs = fem.build_dof_map(msh)
+    problem = problems.get_problem(cfg.problem, cfg.material(first.alpha),
+                                   final_time=cfg.final_time)
+    pre = conv = None
+    if workload != "spatial-fast":
+        pre = problems.precompute_loads(msh, dofs, problem)
+    if workload == "direct-long":
+        dt = cfg.final_time / first.n_steps
+        conv = problems.conv_factor_grid(
+            first.alpha, cfg.tau_sigma, dt * np.arange(1, first.n_steps + 1))
+    for run in group:
+        dt = cfg.final_time / run.n_steps
+        res = stepper.run(problem, msh, stepper.Scheme(run.scheme),
+                          run.n_steps, dofs=dofs, eps=cfg.eps_for(dt),
+                          q=cfg.q, pre=pre, conv_values=conv)
+        err = problems.exact_error(msh, dofs, res.coeffs, problem,
+                                   cfg.final_time)
+        print(run.key, repr(err))
+"""
+
+# name -> (python source, its argv; OUT and CONFIG are filled per run)
+CASES = {
+    "convergence-time quad": (CLI, [
+        "convergence-time", "--mesh", "quad", "--mesh-n", "16",
+        "--steps", "5,10,20,40", "--out", "OUT"]),
+    "convergence-time tri ex62": (CLI, [
+        "convergence-time", "--mesh", "tri", "--mesh-n", "8",
+        "--steps", "5,10", "--alpha", "0.3", "--alpha", "0.8",
+        "--problem", "ex62", "--out", "OUT"]),
+    "convergence-space quad": (CLI, [
+        "convergence-space", "--config", "CONFIG", "--mesh", "quad",
+        "--out", "OUT"]),
+    "convergence-space tri direct": (CLI, [
+        "convergence-space", "--config", "CONFIG", "--mesh", "tri",
+        "--scheme", "direct", "--out", "OUT"]),
+    "bench both": (CLI, [
+        "bench", "--scheme", "both", "--mesh-n", "8", "--steps", "50,100",
+        "--eps-rule", "fixed:1e-6", "--out", "OUT"]),
+    "soe-table": (CLI, [
+        "soe-table", "--alpha", "0.5", "--eps", "1e-6", "--out", "OUT"]),
+    **{f"pinned {w}": (PINNED_RUNS, [str(ROOT / "perfbench"), w])
+       for w in ("spatial-fast", "temporal-ladder", "direct-long")},
+}
+
+
+def _without_timings(name: str, data: bytes) -> bytes:
+    if name != "bench.csv":
+        return data
+    rows = [line.split(",") for line in data.decode().splitlines()]
+    keep = [i for i, col in enumerate(rows[0]) if col not in TIMING_COLUMNS]
+    return "".join(",".join(row[i] for i in keep) + "\n"
+                   for row in rows).encode()
+
+
+def run_case(src: Path, source: str, argv: list[str]) -> dict[str, bytes]:
+    """stdout and the output files of one case run against the tree src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "config.ini").write_text(SPACE_CONFIG, encoding="utf-8")
+        args = [str(work / "out") if a == "OUT" else
+                str(work / "config.ini") if a == "CONFIG" else a
+                for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", source, *args], cwd=work,
+                              env=env, capture_output=True, check=False)
+        if proc.returncode != 0:
+            raise RuntimeError(f"exit {proc.returncode} against {src}:\n"
+                               f"{proc.stderr.decode()[-2000:]}")
+        outputs = {"stdout": re.sub(rb"hist=\S+", b"hist=*", proc.stdout)}
+        for path in sorted((work / "out").rglob("*")):
+            if path.is_file() and path.name != "bench_time.svg":
+                outputs[path.name] = _without_timings(path.name,
+                                                      path.read_bytes())
+    return outputs
+
+
+def check_tree(src: Path) -> None:
+    """Fail unless PYTHONPATH=src imports fracvisco from src itself."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fracvisco; print(fracvisco.__file__)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True)
+    if not Path(proc.stdout.strip()).resolve().is_relative_to(src):
+        raise SystemExit(f"PYTHONPATH={src} imports {proc.stdout.strip()}")
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print("usage: same_outputs.py PARENT_SRC [CHANGE_SRC]", file=sys.stderr)
+        return 2
+    trees = [Path(argv[0]).resolve(),
+             Path(argv[1] if len(argv) > 1 else ROOT / "src").resolve()]
+    for src in trees:
+        check_tree(src)
+    same = True
+    for name, (source, args) in CASES.items():
+        try:
+            before, after = (run_case(src, source, args) for src in trees)
+        except RuntimeError as exc:
+            print(f"FAILED     {name}: {exc}", flush=True)
+            same = False
+            continue
+        diff = sorted(k for k in before.keys() | after.keys()
+                      if before.get(k) != after.get(k))
+        print(f"{'IDENTICAL' if not diff else 'DIFFERENT':10s} {name}"
+              + (f" ({', '.join(diff)})" if diff else ""), flush=True)
+        same = same and not diff
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -339,8 +339,9 @@ _RUN_KEYS = {"problem": ("problem", str), "mesh": ("mesh_kind", MeshKind),
              "mesh_n": ("mesh_n", int), "scheme": ("scheme", str),
              "q": ("q", float), "eps_rule": ("eps_rule", str),
              "final_time": ("final_time", float), "out": ("out_dir", Path)}
-_MATERIAL_KEYS = ("rho", "tau_sigma", "tau_eps", "mu_c", "lambda_c", "mu_d",
-                  "lambda_d")
+#: [material] key of a config file -> (RunConfig field, parser)
+_MATERIAL_KEYS = {k: (k, float) for k in ("rho", "tau_sigma", "tau_eps", "mu_c",
+                                          "lambda_c", "mu_d", "lambda_d")}
 #: flag dest -> (RunConfig field, parser); --alpha arrives as floats
 _FLAG_KEYS = {**{k: _RUN_KEYS[k] for k in ("problem", "mesh", "mesh_n",
                                            "scheme", "eps_rule", "out")},
@@ -348,16 +349,21 @@ _FLAG_KEYS = {**{k: _RUN_KEYS[k] for k in ("problem", "mesh", "mesh_n",
 
 
 def _load_config(path: Path) -> dict:
+    """RunConfig fields of the file; unknown sections and keys are refused."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValueError(f"config file {path} not found or unreadable")
-    values = {key: parser.getfloat("material", key) for key in _MATERIAL_KEYS
-              if parser.has_option("material", key)}
-    if parser.has_section("run"):
-        for key, text in parser["run"].items():
-            if key in _RUN_KEYS:
-                name, parse = _RUN_KEYS[key]
-                values[name] = parse(text)
+    known = {"material": _MATERIAL_KEYS, "run": _RUN_KEYS}
+    values = {}
+    for section in parser.sections() + ["DEFAULT"] * bool(parser.defaults()):
+        if section not in known:
+            raise ValueError(f"config file {path}: unknown section [{section}]")
+        for key, text in parser[section].items():
+            if key not in known[section]:
+                raise ValueError(f"config file {path}: unknown key {key!r} "
+                                 f"in section [{section}]")
+            name, parse = known[section][key]
+            values[name] = parse(text)
     return values
 
 
@@ -413,12 +419,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.scheme not in schemes:
         raise ValueError(f"{args.command} takes scheme {' or '.join(schemes)}, "
                          f"not {cfg.scheme!r}")
+    if args.command in ("bench", "single-run") and len(cfg.alphas) > 1:
+        raise ValueError(f"{args.command} takes one alpha, got {cfg.alphas}")
     steps, meshes = (((args.n_steps,), (args.n,))
                      if args.command == "single-run"
                      else (cfg.n_steps_list, cfg.spatial_ns + (cfg.mesh_n,)))
-    if min(steps) < 1 or min(meshes) < 2:
-        raise ValueError(f"step counts must be >= 1 and mesh sizes >= 2, got "
-                         f"steps {steps} and mesh sizes {meshes}")
+    if min(steps) < 1 or min(meshes) < 2 or not cfg.final_time > 0.0:
+        raise ValueError(f"step counts must be >= 1, mesh sizes >= 2 and "
+                         f"final_time > 0, got steps {steps}, mesh sizes "
+                         f"{meshes} and final_time {cfg.final_time}")
     return cfg
 
 

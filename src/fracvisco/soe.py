@@ -26,8 +26,9 @@ antiderivative for whole time tables at once.  ``mlf`` is its oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +39,8 @@ from . import mlf
 from .errors import BudgetExceeded, QuadratureFailure
 
 MAX_NODES = 4096
+#: Points of the log grid on [t_min, t_max] that certifies a built sum.
+CERTIFY_SAMPLES = 512
 
 #: Kernel engine: panels on [0, 4^24] (the tail beyond weighs < 1e-14),
 #: J Gauss points each, checked against J_CHECK points per panel.
@@ -56,14 +59,6 @@ FIT_DENSE, FIT_PER_OCTAVE = 64, 8
 
 
 @dataclass
-class Panel:
-    """One dyadic integration panel, stored as center/radius."""
-
-    c: float
-    r: float
-
-
-@dataclass
 class SoeApprox:
     """Certified exponential-sum representation of E_alpha(-t**alpha).
 
@@ -75,14 +70,9 @@ class SoeApprox:
     """
 
     alpha: float
-    q: float
-    big_k: int
-    j_per_panel: int
     nodes: np.ndarray
     weights: np.ndarray
-    eps_target: float
-    eps_certified: float = field(default=math.inf)
-    down_panels: int = 0
+    eps_certified: float = math.inf
     lag_deviation: float | None = None
 
     @property
@@ -90,20 +80,15 @@ class SoeApprox:
         return self.nodes.size
 
 
-def _panels(edges) -> list[Panel]:
-    return [Panel((a + b) / 2.0, (b - a) / 2.0)
-            for a, b in zip(edges[:-1], edges[1:])]
-
-
-def build_panels(q: float, big_k: int, down: int = 0) -> list[Panel]:
-    """Panels covering [0, q^K]: [0, q^-down], then [q^(k-1), q^k] for
-    k = 1-down..K.  The `down` refinements of [0, 1] let Gauss points
-    resolve the kernel's fast-rate content at small times."""
+def build_panels(q: float, big_k: int, down: int = 0) -> np.ndarray:
+    """Edges [0, q^-down, ..., q^K] of the panels [0, q^-down] and
+    [q^(k-1), q^k], k = 1-down..K.  The `down` refinements of [0, 1] let
+    Gauss points resolve the kernel's fast-rate content at small times."""
     if q <= 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
     if big_k < 0:
         raise ValueError(f"K must be nonnegative, got {big_k}")
-    return _panels([0.0] + [q ** m for m in range(-down, big_k + 1)])
+    return np.array([0.0] + [q ** m for m in range(-down, big_k + 1)])
 
 
 def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,23 +98,22 @@ def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(j)
 
 
-def _panel_rule(alpha: float, panels: list[Panel],
+def _panel_rule(alpha: float, edges: np.ndarray,
                 j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and weights of j-point Gauss-Legendre on each panel."""
+    """Rates and weights of j-point Gauss-Legendre on each panel between
+    consecutive edges, panel-major."""
     xi, omega = gauss_legendre(j)
     c_ap, s_ap = math.cos(alpha * math.pi), math.sin(alpha * math.pi)
     pref = s_ap / (alpha * math.pi)
-    nodes = []
-    weights = []
-    for panel in panels:
-        x = panel.r * xi + panel.c
-        with np.errstate(over="ignore"):
-            rate = np.minimum(x ** (-1.0 / alpha), 1e300)
-        nodes.append(rate)
-        # (x + cos)^2 + sin^2, not x^2 + 2x cos + 1: no cancellation
-        # near x = 1 as alpha -> 1
-        weights.append(pref * omega * panel.r / ((x + c_ap) ** 2 + s_ap ** 2))
-    return np.concatenate(nodes), np.concatenate(weights)
+    c = ((edges[:-1] + edges[1:]) / 2.0)[:, None]
+    r = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+    x = r * xi + c
+    with np.errstate(over="ignore"):
+        nodes = np.minimum(x ** (-1.0 / alpha), 1e300)
+    # (x + cos)^2 + sin^2, not x^2 + 2x cos + 1: no cancellation
+    # near x = 1 as alpha -> 1
+    weights = pref * omega * r / ((x + c_ap) ** 2 + s_ap ** 2)
+    return nodes.ravel(), weights.ravel()
 
 
 class MemoryState:
@@ -260,11 +244,12 @@ def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
     q = min(4.0, ENGINE_RATE_RATIO ** alpha)
     lo, hi = (math.floor(math.log(x, q)) for x in (ENGINE_X_MIN, ENGINE_X_MAX))
     x0, d = -math.cos(alpha * math.pi), math.sin(alpha * math.pi)
-    edges = [0.0, x0] + [q ** m for m in range(lo, hi + 1)] + [
+    geometric = build_panels(q, hi, -lo)
+    edges = np.append(geometric, [x0] + [
         x0 + s * d * 2.0 ** k for k in range(math.ceil(math.log2(8.0 / d)))
-        for s in (-1.0, 1.0)]
-    panels = _panels(np.unique([e for e in edges if 0.0 <= e <= q ** hi]))
-    return [_panel_rule(alpha, panels, j) for j in (ENGINE_J, ENGINE_J_CHECK)]
+        for s in (-1.0, 1.0)])
+    edges = np.unique(edges[(edges >= 0.0) & (edges <= geometric[-1])])
+    return [_panel_rule(alpha, edges, j) for j in (ENGINE_J, ENGINE_J_CHECK)]
 
 
 def exp_convolution(alpha: float, tau_sigma: float, times,
@@ -307,7 +292,8 @@ def _reference(alpha: float, grid: np.ndarray) -> np.ndarray:
 
 
 def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
-                samples: int = 512, _ref: np.ndarray | None = None) -> float:
+                samples: int = CERTIFY_SAMPLES,
+                _ref: np.ndarray | None = None) -> float:
     """Measure max |SOE - E_alpha(-t**alpha)| on a log grid; record it."""
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
@@ -318,8 +304,8 @@ def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
     return dev
 
 
-def build_soe(alpha: float, eps: float, q: float, t_min: float, t_max: float,
-              samples: int = 512) -> SoeApprox:
+def build_soe(alpha: float, eps: float, q: float, t_min: float,
+              t_max: float) -> SoeApprox:
     """Construct an exponential sum certified to eps on [t_min, t_max].
 
     Escalation: start from K estimated from the range/tolerance, J = 8;
@@ -333,37 +319,23 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float, t_max: float,
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     if alpha == 1.0:
-        return SoeApprox(alpha=alpha, q=q, big_k=0, j_per_panel=1,
-                         nodes=np.ones(1), weights=np.ones(1),
-                         eps_target=eps, eps_certified=0.0)
+        return SoeApprox(alpha, np.ones(1), np.ones(1), eps_certified=0.0)
 
-    grid = np.geomspace(t_min, t_max, samples)
-    ref = _reference(alpha, grid)
-
+    ref = _reference(alpha, np.geomspace(t_min, t_max, CERTIFY_SAMPLES))
     k0 = math.ceil(math.log(max(t_max / t_min, 10.0) / eps, q))
     k0 = min(max(k0, 2), 40)
     # Depth below 1 needed so some panel resolves rates up to ~1/t_min.
     down = max(math.ceil(alpha * math.log(1.0 / min(t_min, 1.0), q)), 0) + 1
-    big_k = k0
-    while True:
-        panels = build_panels(q, big_k, down)
+    for big_k in itertools.count(k0, 2):
+        edges = build_panels(q, big_k, down)
         for j in range(8, 49, 4):
-            n_panels = big_k + down + 1
-            if n_panels * j > MAX_NODES:
+            if (edges.size - 1) * j > MAX_NODES:
                 raise BudgetExceeded(
-                    f"{n_panels} panels x J = {j} exceeds {MAX_NODES} nodes "
-                    f"before certification at eps = {eps:g}")
-            nodes, weights = _panel_rule(alpha, panels, j)
-            soe = SoeApprox(alpha=alpha, q=q, big_k=big_k, j_per_panel=j,
-                            nodes=nodes, weights=weights, eps_target=eps,
-                            down_panels=down)
-            dev = certify_soe(soe, t_min, t_max, samples=samples, _ref=ref)
-            if dev <= eps:
+                    f"{edges.size - 1} panels x J = {j} exceeds {MAX_NODES} "
+                    f"nodes before certification at eps = {eps:g}")
+            soe = SoeApprox(alpha, *_panel_rule(alpha, edges, j))
+            if certify_soe(soe, t_min, t_max, _ref=ref) <= eps:
                 return soe
-        big_k += 2
-        if (big_k + down + 1) * 8 > MAX_NODES:
-            raise BudgetExceeded(
-                f"panel count K = {big_k} exceeds node budget at eps = {eps:g}")
 
 
 def write_table(soe: SoeApprox, path: str) -> None:

@@ -176,8 +176,13 @@ class TestExitCodes:
         ["bench", "--mesh-n", "4", "--steps", "0"],
         ["single-run", "--n", "4", "--n-steps", "0"],
         ["single-run", "--n", "1", "--n-steps", "2"],
+        ["single-run", "--alpha", "0.3", "--alpha", "0.8", "--n", "4",
+         "--n-steps", "2"],
+        ["bench", "--alpha", "0.3", "--alpha", "0.8", "--mesh-n", "4",
+         "--steps", "2"],
     ], ids=["space-both", "time-both", "single-both", "time-zero-steps",
-            "bench-zero-steps", "single-zero-steps", "single-n1"])
+            "bench-zero-steps", "single-zero-steps", "single-n1",
+            "single-two-alphas", "bench-two-alphas"])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         # a tiny ladder, so a command that wrongly runs finishes quickly
         cfg = tmp_path / "cfg.ini"
@@ -186,6 +191,26 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, named", [
+        ("[run]\nalpha = 0.3\n", "unknown key 'alpha' in section [run]"),
+        ("[material]\nrhoo = 2.0\n",
+         "unknown key 'rhoo' in section [material]"),
+        ("[materials]\nrho = 2.0\n", "unknown section [materials]"),
+        ("[DEFAULT]\nrho = 2.0\n", "unknown section [DEFAULT]"),
+        ("[run]\nfinal_time = 0\n", "final_time 0.0"),
+        ("[run]\nfinal_time = -1\n", "final_time -1.0"),
+    ], ids=["run-key", "material-key", "section", "default-section",
+            "final-time-zero", "final-time-negative"])
+    def test_bad_config_is_a_usage_error(self, text, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        code = main(["single-run", "--config", str(cfg), "--n", "4",
+                     "--n-steps", "2", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 class TestLadderTables:

@@ -18,23 +18,17 @@ from fracvisco.soe import (COMPRESS_RTOL, SoeApprox, _engine_rules, _panel_rule,
 
 class TestPanels:
     def test_ladder_q10_k2(self):
-        # [0,1], [1,10], [10,100] as center/radius pairs
-        panels = build_panels(10.0, 2)
-        got = [(p.c, p.r) for p in panels]
-        assert got == [(0.5, 0.5), (5.5, 4.5), (55.0, 45.0)]
+        # panels [0,1], [1,10], [10,100]
+        assert build_panels(10.0, 2).tolist() == [0.0, 1.0, 10.0, 100.0]
 
     def test_k_zero_is_unit_interval(self):
-        panels = build_panels(10.0, 0)
-        assert len(panels) == 1
-        assert (panels[0].c, panels[0].r) == (0.5, 0.5)
+        assert build_panels(10.0, 0).tolist() == [0.0, 1.0]
 
     def test_panels_tile_contiguously(self):
-        panels = build_panels(3.0, 6)
-        edges = [(p.c - p.r, p.c + p.r) for p in panels]
-        assert edges[0][0] == 0.0
-        for (lo_a, hi_a), (lo_b, _) in zip(edges, edges[1:]):
-            assert hi_a == pytest.approx(lo_b, rel=1e-14)
-        assert edges[-1][1] == pytest.approx(3.0 ** 6, rel=1e-14)
+        edges = build_panels(3.0, 6, 2)
+        assert edges[0] == 0.0
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges[-1] == pytest.approx(3.0 ** 6, rel=1e-14)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -142,9 +136,7 @@ class TestBuildAndCertify:
         # doubling J at fixed panels keeps the deviation from growing much
         def dev_for(j):
             nodes, weights = _panel_rule(0.5, build_panels(10.0, 8, 4), j)
-            soe = SoeApprox(alpha=0.5, q=10.0, big_k=8, j_per_panel=j,
-                            nodes=nodes, weights=weights, eps_target=1.0,
-                            down_panels=4)
+            soe = SoeApprox(0.5, nodes, weights)
             return certify_soe(soe, 1e-3, 2.0)
 
         coarse, fine = dev_for(8), dev_for(16)
