@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""SOE certification reference timings and benchmark pairs for BENCH_certify.json.
+
+    python3 scripts/bench_certify.py --label change
+    python3 scripts/bench_certify.py --label parent --src OTHER_CHECKOUT/src
+    python3 scripts/bench_certify.py --pairs PARENT_CHECKOUT CHANGE_CHECKOUT \\
+        --workload temporal-ladder --seeds 601-610
+
+The first two forms time the reference values that certify a run's SOE, on
+the grid ``stepper.run``'s ``build_soe`` call certifies on (CERTIFY_SAMPLES
+log-spaced points on [dt / (10 tau), T / tau], tau = 0.5, T = 1) for the
+benchmark workloads' runs: alpha = 0.3, 0.5 and 0.8 at N = 256
+(spatial-fast) and alpha = 0.5 at N = 5, 10, 20 and 40 (temporal-ladder).
+Each case records the time of one pass of the scalar ``mlf.kernel_beta``
+over the grid, of one ``soe.engine_kernel`` call (null where the tree has
+none) and of the run's ``build_soe`` call (eps = dt / 10, q = 10), each the
+median of 3 samples, and the largest difference of the two references.
+The source tree is given by ``--src`` (default: this repository's ``src``)
+and BLAS runs on one thread.  Each case also times perfbench's reference
+work before and after its samples (``reference_s``) and gives the medians
+in reference seconds as well (``*_ref_s``), as ``bench_history.py`` does.
+The record also holds the machine and is merged into the output file under
+``records[label]``.
+
+The third form is ``scripts/bench_history.py --pairs``: it runs
+``perfbench/run.py`` in two checkouts, alternating which goes first, and
+merges the pairs under ``perfbench_pairs[workload]``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+from bench_history import ReferenceClock, bench_main, machine
+from bench_solve import median_time
+
+CASES = ((0.3, 256), (0.5, 256), (0.8, 256),
+         (0.5, 5), (0.5, 10), (0.5, 20), (0.5, 40))
+TAU_SIGMA, FINAL_TIME = 0.5, 1.0
+
+
+def certify_record(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import numpy as np
+    from fracvisco import mlf, soe
+
+    engine = getattr(soe, "engine_kernel", None)
+    clock = ReferenceClock()
+    cases = []
+    for alpha, n_steps in CASES:
+        dt = FINAL_TIME / n_steps
+        t_min, t_max = dt / (10.0 * TAU_SIGMA), FINAL_TIME / TAU_SIGMA
+        grid = np.geomspace(t_min, t_max, soe.CERTIFY_SAMPLES)
+
+        def by_mlf():
+            return np.array([mlf.kernel_beta(alpha, 1.0, float(t))
+                             for t in grid])
+
+        def measure():
+            out = {"mlf_s": median_time(by_mlf), "build_soe_s": median_time(
+                lambda: soe.build_soe(alpha, dt / 10.0, 10.0, t_min, t_max))}
+            if engine is not None:
+                out["engine_s"] = median_time(lambda: engine(alpha, grid))
+            return out
+
+        medians, ref_time = clock.around(measure)
+        case = {"alpha": alpha, "n_steps": n_steps, "t_min": t_min,
+                "t_max": t_max, "engine_s": None, **medians,
+                "reference_s": ref_time, "max_abs_diff": None}
+        if engine is not None:
+            case["max_abs_diff"] = float(
+                np.abs(engine(alpha, grid) - by_mlf()).max())
+        for name in ("mlf_s", "engine_s", "build_soe_s"):
+            if case[name] is not None:
+                case[name[:-2] + "_ref_s"] = (case[name] * clock.ref_s
+                                              / ref_time)
+        cases.append(case)
+        print(f"alpha={alpha} N={n_steps}: mlf {case['mlf_s'] * 1e3:.1f} ms, "
+              f"engine {(case['engine_s'] or 0.0) * 1e3:.1f} ms, build_soe "
+              f"{case['build_soe_s'] * 1e3:.1f} ms", file=sys.stderr)
+    return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "samples": soe.CERTIFY_SAMPLES, "machine": machine(),
+            "cases": cases}
+
+
+def main() -> None:
+    bench_main(__doc__, certify_record, "BENCH_certify.json",
+               "temporal-ladder", "601-610")
+
+
+if __name__ == "__main__":
+    main()

@@ -157,17 +157,20 @@ def seed_list(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def bench_main(doc: str, record, out: str, workload: str, seeds: str) -> None:
+    """Command line of the bench_*.py scripts: ``--label`` merges
+    record(src), timed with one BLAS thread, under ``records[label]`` of the
+    output file; ``--pairs`` merges the perfbench pairs of the workload under
+    ``perfbench_pairs[workload]``."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--label", help="record name, e.g. parent or change")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--pairs", nargs=2, type=Path,
                     metavar=("PARENT", "CHANGE"))
-    ap.add_argument("--workload", default="direct-long")
-    ap.add_argument("--seeds", type=seed_list, default=seed_list("401-410"))
+    ap.add_argument("--workload", default=workload)
+    ap.add_argument("--seeds", type=seed_list, default=seed_list(seeds))
     ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--out", type=Path,
-                    default=ROOT / "BENCH_direct_history.json")
+    ap.add_argument("--out", type=Path, default=ROOT / out)
     args = ap.parse_args()
     if (args.label is None) == (args.pairs is None):
         ap.error("give exactly one of --label and --pairs")
@@ -175,11 +178,16 @@ def main() -> None:
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.label is not None:
         one_blas_thread()
-        data.setdefault("records", {})[args.label] = history_record(args.src)
+        data.setdefault("records", {})[args.label] = record(args.src)
     else:
         data.setdefault("perfbench_pairs", {})[args.workload] = pairs_record(
             *args.pairs, args.workload, args.seeds, args.seconds)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def main() -> None:
+    bench_main(__doc__, history_record, "BENCH_direct_history.json",
+               "direct-long", "401-410")
 
 
 if __name__ == "__main__":

@@ -26,18 +26,14 @@ merges the pairs under ``perfbench_pairs[workload]``.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
-from bench_history import (ReferenceClock, machine, one_blas_thread,
-                           pairs_record, seed_list)
+from bench_history import ReferenceClock, bench_main, machine
 
-ROOT = Path(__file__).resolve().parent.parent
 CASES = tuple((kind, n) for n in (16, 32, 64, 128) for kind in ("quad", "tri"))
 REPEATS = 3
 SAMPLE_S = 0.05  # least wall time of one solve sample
@@ -104,27 +100,8 @@ def solve_record(src: Path) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", help="record name, e.g. parent or change")
-    ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--pairs", nargs=2, type=Path,
-                    metavar=("PARENT", "CHANGE"))
-    ap.add_argument("--workload", default="temporal-ladder")
-    ap.add_argument("--seeds", type=seed_list, default=seed_list("501-510"))
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_band_solve.json")
-    args = ap.parse_args()
-    if (args.label is None) == (args.pairs is None):
-        ap.error("give exactly one of --label and --pairs")
-
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.label is not None:
-        one_blas_thread()
-        data.setdefault("records", {})[args.label] = solve_record(args.src)
-    else:
-        data.setdefault("perfbench_pairs", {})[args.workload] = pairs_record(
-            *args.pairs, args.workload, args.seeds, args.seconds)
-    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    bench_main(__doc__, solve_record, "BENCH_band_solve.json",
+               "temporal-ladder", "501-510")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ The relaxation kernel of the velocity-form viscoelastic equation is
 
 where E_alpha is the one-parameter Mittag-Leffler function.  Everything in
 this module is evaluated without any exponential-sum compression, so it is
-the ground truth that certifies the SOE and that the tests check the kernel
-engine (``soe.exp_convolution``) against; no production table is built here.
+the test oracle for the kernel engine (``soe.exp_convolution`` and
+``soe.engine_kernel``) and the SOE it certifies; no run path calls it.
 
 Two evaluation routes are provided and cross-checked in the tests:
 

@@ -10,18 +10,19 @@ panel.  Nodes and weights are all strictly positive, which the telescoping
 memory recursion of :class:`MemoryState` relies on.
 
 The number of panels K and points J are chosen by an escalation loop that
-keeps enlarging the rule until the measured deviation from the reference
-kernel drops below the requested tolerance; the measured value is recorded on
-the result.  The tail beyond q^K is dropped and absorbed into certification.
+keeps enlarging the rule until the measured deviation from engine_kernel
+drops below the requested tolerance; the measured value is recorded on the
+result.  The tail beyond q^K is dropped and absorbed into certification.
 
 The stepper only consumes the lag weights theta_1..theta_N of the sum, so
 :func:`compress_soe` then keeps the few rates that reproduce those N weights
 (column-pivoted QR of the lag-weight matrix, a nonnegative refit) and checks
 the result on every lag.
 
-A fixed, much tighter panel rule is the production kernel engine,
-:func:`exp_convolution`: it gives the load factor I(t) and the kernel
-antiderivative for whole time tables at once.  ``mlf`` is its oracle.
+A fixed, much tighter panel rule is the kernel engine: :func:`exp_convolution`
+gives I(t) and the kernel antiderivative for whole time tables at once, and
+:func:`engine_kernel` the kernel values that certify a built sum.  The tests
+check the engine against ``mlf``'s scalar series/quadrature.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import scipy.linalg
 from scipy.optimize import nnls
 from scipy.special import exprel
 
-from . import mlf
 from .errors import BudgetExceeded, QuadratureFailure
 
 MAX_NODES = 4096
@@ -88,7 +88,7 @@ def build_panels(q: float, big_k: int, down: int = 0) -> np.ndarray:
         raise ValueError(f"q must exceed 1, got {q}")
     if big_k < 0:
         raise ValueError(f"K must be nonnegative, got {big_k}")
-    return np.array([0.0] + [q ** m for m in range(-down, big_k + 1)])
+    return np.array([0.0] + [float(q) ** m for m in range(-down, big_k + 1)])
 
 
 def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,6 +252,27 @@ def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
     return [_panel_rule(alpha, edges, j) for j in (ENGINE_J, ENGINE_J_CHECK)]
 
 
+def _engine_sum(alpha: float, times: np.ndarray, rule_sum) -> np.ndarray:
+    """rule_sum(t, a, b) for the ENGINE_J rule's rates a and weights b on
+    blocks t of the 1-D times.  QuadratureFailure where the ENGINE_J_CHECK
+    rule differs by more than ENGINE_TOL or either is not finite."""
+    rules = _engine_rules(alpha)
+    out = np.empty(times.size)
+    rows = max(1, ENGINE_BLOCK // rules[0][0].size)
+    for lo in range(0, times.size, rows):
+        t = times[lo:lo + rows]
+        fine, check = (rule_sum(t, a, b) for a, b in rules)
+        gap = np.abs(fine - check)
+        worst = int(np.argmax(gap))
+        if not gap[worst] <= ENGINE_TOL:
+            raise QuadratureFailure(
+                f"kernel engine rules J = {ENGINE_J} and {ENGINE_J_CHECK} "
+                f"differ by {gap[worst]:.2e} at t = {t[worst]:g} "
+                f"(alpha = {alpha})")
+        out[lo:lo + t.size] = fine
+    return out
+
+
 def exp_convolution(alpha: float, tau_sigma: float, times,
                     rate: float) -> np.ndarray:
     """int_0^t beta(t - s) e^{-rate s} ds for each t in the 1-D times, with
@@ -260,45 +281,31 @@ def exp_convolution(alpha: float, tau_sigma: float, times,
     With beta = sum_j b_j e^{-a_j t/tau} the integral closes to
     t e^{-rate t} sum_j b_j exprel((rate - a_j/tau) t), stable for a_j/tau
     near rate: rate = 1 gives the load factor I(t), rate = 0 the kernel
-    antiderivative.  QuadratureFailure where the ENGINE_J and ENGINE_J_CHECK
-    rules differ by more than ENGINE_TOL or are not finite.
+    antiderivative.  Checked as in _engine_sum.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-    rules = _engine_rules(alpha)
-    out = np.empty(times.size)
-    rows = max(1, ENGINE_BLOCK // rules[0][0].size)
-    for lo in range(0, times.size, rows):
-        t = times[lo:lo + rows]
-        front = t * np.exp(-rate * t)
-        fine, check = (
-            front * (exprel(np.multiply.outer(t, rate - a / tau_sigma))
-                     * b).sum(axis=1)
-            for a, b in rules)
-        gap = np.abs(fine - check)
-        worst = int(np.argmax(gap))
-        if not gap[worst] <= ENGINE_TOL:
-            raise QuadratureFailure(
-                f"kernel engine rules J = {ENGINE_J} and {ENGINE_J_CHECK} "
-                f"differ by {gap[worst]:.2e} at t = {t[worst]:g} "
-                f"(alpha = {alpha}, rate = {rate})")
-        out[lo:lo + t.size] = fine
-    return out
+    return _engine_sum(alpha, times, lambda t, a, b: t * np.exp(-rate * t) * (
+        exprel(np.multiply.outer(t, rate - a / tau_sigma)) * b).sum(axis=1))
 
 
-def _reference(alpha: float, grid: np.ndarray) -> np.ndarray:
-    return np.array([mlf.kernel_beta(alpha, 1.0, float(t)) for t in grid])
+def engine_kernel(alpha: float, times: np.ndarray) -> np.ndarray:
+    """E_alpha(-t**alpha) = sum_j b_j e^{-a_j t} for each t in the 1-D
+    times by the kernel engine's rule, checked as in _engine_sum."""
+    return _engine_sum(alpha, times,
+                       lambda t, a, b: np.exp(-np.multiply.outer(t, a)) @ b)
 
 
 def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
                 samples: int = CERTIFY_SAMPLES,
                 _ref: np.ndarray | None = None) -> float:
-    """Measure max |SOE - E_alpha(-t**alpha)| on a log grid; record it."""
+    """Measure max |SOE - E_alpha(-t**alpha)| on a log grid and record it;
+    the reference is engine_kernel on the grid unless _ref gives it."""
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     grid = np.geomspace(t_min, t_max, samples)
-    ref = _reference(soe.alpha, grid) if _ref is None else _ref
+    ref = engine_kernel(soe.alpha, grid) if _ref is None else _ref
     dev = float(np.max(np.abs(eval_soe(soe, grid) - ref)))
     soe.eps_certified = dev
     return dev
@@ -309,8 +316,9 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
     """Construct an exponential sum certified to eps on [t_min, t_max].
 
     Escalation: start from K estimated from the range/tolerance, J = 8;
-    certify; on failure raise J by 4 up to 48, then K by 2, until the node
-    budget would be exceeded.  alpha = 1 is the exact one-term sum e^{-t}.
+    certify against engine_kernel; on failure raise J by 4 up to 48, then K
+    by 2, until the node budget would be exceeded.  alpha = 1 is the exact
+    one-term sum e^{-t}.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -321,7 +329,7 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
     if alpha == 1.0:
         return SoeApprox(alpha, np.ones(1), np.ones(1), eps_certified=0.0)
 
-    ref = _reference(alpha, np.geomspace(t_min, t_max, CERTIFY_SAMPLES))
+    ref = engine_kernel(alpha, np.geomspace(t_min, t_max, CERTIFY_SAMPLES))
     k0 = math.ceil(math.log(max(t_max / t_min, 10.0) / eps, q))
     k0 = min(max(k0, 2), 40)
     # Depth below 1 needed so some panel resolves rates up to ~1/t_min.

@@ -128,7 +128,7 @@ def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
 
 def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         n_steps: int, dofs: DofMap | None = None, eps: float | None = None,
-        q: int = 10, soe: SoeApprox | None = None,
+        q: float = 10.0, soe: SoeApprox | None = None,
         pre: LoadPrecomputation | None = None,
         conv_values: np.ndarray | None = None) -> RunResult:
     """Execute a full run and return the final-time coefficients.

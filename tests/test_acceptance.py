@@ -28,7 +28,7 @@ from fracvisco.fem import (Material, assemble_elastic, assemble_mass,
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_beta, ml_bounds
 from fracvisco.problems import exact_error, get_problem, precompute_loads
-from fracvisco.soe import build_soe
+from fracvisco.soe import CERTIFY_SAMPLES, build_soe, certify_soe
 from fracvisco.stepper import Scheme, run, theta_weights
 
 VALUE_RTOL = 0.15
@@ -178,8 +178,12 @@ class TestCriterion3SecondProblemSpotChecks:
 
 class TestCriterion4SoeCertification:
     def test_certified_tolerances_and_growth(self):
+        # build_soe certifies against the kernel engine; each table is then
+        # certified again against the independent scalar mlf oracle
         failures = []
+        grid = np.geomspace(1e-4, 2.0, CERTIFY_SAMPLES)
         for alpha in (0.3, 0.5, 0.8):
+            ref = np.array([kernel_beta(alpha, 1.0, float(t)) for t in grid])
             counts = {}
             for eps in (1e-3, 1e-6):
                 soe = build_soe(alpha, eps, 10.0, 1e-4, 2.0)
@@ -187,6 +191,10 @@ class TestCriterion4SoeCertification:
                 if soe.eps_certified > eps:
                     failures.append(f"alpha={alpha} eps={eps}: certified "
                                     f"{soe.eps_certified:.2e}")
+                by_mlf = certify_soe(soe, 1e-4, 2.0, _ref=ref)
+                if by_mlf > eps:
+                    failures.append(f"alpha={alpha} eps={eps}: mlf oracle "
+                                    f"measures {by_mlf:.2e}")
             if counts[1e-6] > 4 * counts[1e-3]:
                 failures.append(f"alpha={alpha}: N_exp grew "
                                 f"{counts[1e-3]} -> {counts[1e-6]}")

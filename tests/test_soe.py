@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracvisco.errors import BudgetExceeded
-from fracvisco.mlf import ml_integral
-from fracvisco.soe import (COMPRESS_RTOL, SoeApprox, _engine_rules, _panel_rule,
-                           build_panels, build_soe, certify_soe, compress_soe,
-                           eval_soe, gauss_legendre, theta_weights,
-                           write_table)
+from fracvisco.errors import BudgetExceeded, QuadratureFailure
+from fracvisco.mlf import kernel_beta, ml_integral
+from fracvisco.soe import (CERTIFY_SAMPLES, COMPRESS_RTOL, SoeApprox,
+                           _engine_rules, _panel_rule, build_panels, build_soe,
+                           certify_soe, compress_soe, engine_kernel, eval_soe,
+                           gauss_legendre, theta_weights, write_table)
 
 
 class TestPanels:
@@ -91,6 +91,21 @@ class TestEngineRules:
             assert abs(weights.sum() - 1.0) < 1e-11
 
 
+class TestEngineKernel:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("t_min, t_max", [(1e-4, 2.0), (1e-6, 20.0)])
+    def test_matches_mlf_on_certification_grids(self, alpha, t_min, t_max):
+        grid = np.geomspace(t_min, t_max, CERTIFY_SAMPLES)
+        ref = np.array([kernel_beta(alpha, 1.0, float(t)) for t in grid])
+        assert np.abs(engine_kernel(alpha, grid) - ref).max() <= 1e-12
+
+    def test_unmet_engine_tolerance_fails_the_build(self, monkeypatch):
+        # no two rules agree to 1e-18: the reference cannot be certified
+        monkeypatch.setattr("fracvisco.soe.ENGINE_TOL", 1e-18)
+        with pytest.raises(QuadratureFailure, match="alpha = 0.5"):
+            build_soe(0.5, 1e-6, 10.0, 1e-4, 2.0)
+
+
 class TestBuildAndCertify:
     def test_certified_build_meets_tolerance(self):
         soe = build_soe(0.5, 1e-6, 10.0, 1e-4, 2.0)
@@ -143,8 +158,8 @@ class TestBuildAndCertify:
         assert fine <= 2.0 * coarse
 
     def test_certification_matches_integral_reference(self):
-        # the certification reference (mlf's series/integral dispatch)
-        # records the same deviation as one built from ml_integral alone
+        # the certification reference (the kernel engine) records the same
+        # deviation, to 1e-12, as one built from mlf's ml_integral
         for alpha in (0.3, 0.8):
             soe = build_soe(alpha, 1e-6, 10.0, 1e-4, 2.0)
             grid = np.geomspace(1e-4, 2.0, 512)
@@ -162,6 +177,13 @@ class TestBuildAndCertify:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             build_soe(0.5, 1e-14, 1.0001, 1e-4, 2.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.95])
+    def test_budget_exceeded_with_integer_q(self, alpha):
+        # past K = 19 integer powers of q would overflow int64 and leave
+        # the panel edges as Python ints
+        with pytest.raises(BudgetExceeded):
+            build_soe(alpha, 1e-8, 10, 1e-4, 2.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
