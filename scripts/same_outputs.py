@@ -9,11 +9,12 @@ temporary output directory.  Its stdout and every file it writes are
 compared byte for byte, with these exceptions, which are timings:
 
 - bench.csv's wall_total, wall_history and wall_solve columns are dropped;
-- bench's ``hist=...s`` stdout field is masked;
+- bench's ``hist=...s`` and single-run's ``wall=...s`` and ``setup=...s``
+  stdout fields are masked;
 - bench_time.svg, which plots wall_history, is not compared.
 
-The cases are the CLI ladders, bench, soe-table, and the final L2 errors
-(printed with repr, so bit for bit) of the full-size runs of each
+The cases are the CLI ladders, bench, single-run, soe-table, and the final
+L2 errors (printed with repr, so bit for bit) of the full-size runs of each
 benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
 way ``perfbench/workloads.py`` runs them.  Prints one IDENTICAL or
 DIFFERENT line per case; exits 1 on any difference or failed run.
@@ -84,6 +85,8 @@ CASES = {
     "bench both": (CLI, [
         "bench", "--scheme", "both", "--mesh-n", "8", "--steps", "50,100",
         "--eps-rule", "fixed:1e-6", "--out", "OUT"]),
+    "single-run fast": (CLI, [
+        "single-run", "--n", "8", "--n-steps", "32", "--alpha", "0.3"]),
     "soe-table": (CLI, [
         "soe-table", "--alpha", "0.5", "--eps", "1e-6", "--out", "OUT"]),
     **{f"pinned {w}": (PINNED_RUNS, [str(ROOT / "perfbench"), w])
@@ -114,7 +117,8 @@ def run_case(src: Path, source: str, argv: list[str]) -> dict[str, bytes]:
         if proc.returncode != 0:
             raise RuntimeError(f"exit {proc.returncode} against {src}:\n"
                                f"{proc.stderr.decode()[-2000:]}")
-        outputs = {"stdout": re.sub(rb"hist=\S+", b"hist=*", proc.stdout)}
+        outputs = {"stdout": re.sub(rb"(hist|wall|setup)=\S+", rb"\1=*",
+                                    proc.stdout)}
         for path in sorted((work / "out").rglob("*")):
             if path.is_file() and path.name != "bench_time.svg":
                 outputs[path.name] = _without_timings(path.name,

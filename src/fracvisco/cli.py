@@ -168,7 +168,7 @@ def _svg_loglog(path: Path, title: str, xlabel: str, ylabel: str,
 def cmd_convergence_space(cfg: RunConfig) -> list[str]:
     tables = []
     rows_csv: list[list[str]] = []
-    scheme = Scheme.DIRECT if cfg.scheme == "direct" else Scheme.FAST
+    scheme = Scheme(cfg.scheme)
     for alpha in cfg.alphas:
         mat = cfg.material(alpha)
         problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
@@ -200,7 +200,7 @@ def cmd_convergence_space(cfg: RunConfig) -> list[str]:
 def cmd_convergence_time(cfg: RunConfig) -> list[str]:
     tables = []
     rows_csv: list[list[str]] = []
-    scheme = Scheme.DIRECT if cfg.scheme == "direct" else Scheme.FAST
+    scheme = Scheme(cfg.scheme)
     mesh = build_mesh(cfg.mesh_kind, cfg.mesh_n)
     dofs = build_dof_map(mesh)
     for alpha in cfg.alphas:
@@ -236,8 +236,7 @@ def cmd_bench(cfg: RunConfig) -> list[dict]:
     mesh = build_mesh(cfg.mesh_kind, cfg.mesh_n)
     dofs = build_dof_map(mesh)
     pre = precompute_loads(mesh, dofs, problem)
-    schemes = {"fast": [Scheme.FAST], "direct": [Scheme.DIRECT],
-               "both": [Scheme.FAST, Scheme.DIRECT]}[cfg.scheme]
+    schemes = list(Scheme) if cfg.scheme == "both" else [Scheme(cfg.scheme)]
 
     warm_steps = min(cfg.n_steps_list)
     run(problem, mesh, schemes[0], warm_steps, dofs=dofs,
@@ -302,7 +301,7 @@ def cmd_single_run(cfg: RunConfig, n: int, n_steps: int) -> dict:
     problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
     mesh = build_mesh(cfg.mesh_kind, n)
     dofs = build_dof_map(mesh)
-    scheme = Scheme.DIRECT if cfg.scheme == "direct" else Scheme.FAST
+    scheme = Scheme(cfg.scheme)
     t0 = time.perf_counter()
     res = run(problem, mesh, scheme, n_steps, dofs=dofs,
               eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q)

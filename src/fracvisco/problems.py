@@ -115,7 +115,7 @@ def get_problem(name: str, material: Material | None = None,
 class LoadPrecomputation:
     """The per-mesh operators of a run: the three fixed vectors of the
     separable weak-form load, the matrices A, M and B, the Ritz datum, and
-    the material they were built for."""
+    the problem name, mesh (kind, n) and material they were built for."""
 
     p_mass: np.ndarray   # <V, phi_i>
     p_a: np.ndarray      # a(V, phi_i)
@@ -125,6 +125,8 @@ class LoadPrecomputation:
     b_mat: sp.csr_matrix
     v0: np.ndarray       # Ritz projection of V: A v0 = p_a
     material: Material
+    problem: str
+    mesh: tuple[str, int]
 
 
 def precompute_loads(mesh: Mesh, dofs: DofMap,
@@ -146,7 +148,7 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
         p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
         p_b=p_b, a_mat=a_mat, mass=assemble_mass(mesh, dofs),
         b_mat=b_form_matrix(mesh, dofs, mat), v0=spd_solver(a_mat)(p_a),
-        material=mat)
+        material=mat, problem=problem.name, mesh=(mesh.kind.value, mesh.n))
 
 
 def conv_factor_grid(alpha: float, tau_sigma: float,

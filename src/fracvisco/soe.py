@@ -116,26 +116,31 @@ def _panel_rule(alpha: float, edges: np.ndarray,
     return nodes.ravel(), weights.ravel()
 
 
+def step_factors(soe: SoeApprox, dt: float,
+                 tau_sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step factors decay_j = e^{-a_j dt / tau_sigma} and
+    gain_j = (b_j tau_sigma / a_j)(1 - decay_j) of each exponential."""
+    decay = np.exp(-soe.nodes * dt / tau_sigma)
+    return decay, soe.weights * tau_sigma / soe.nodes * (1.0 - decay)
+
+
 class MemoryState:
-    """Histories H_j, one array of the given shape per exponential, with the
-    one-step recursion
+    """Histories H_j, one row of n_dofs per exponential, with the one-step
+    recursion
 
     H_j(v^n) = decay_j H_j(v^{n-1}) + gain_j v^{n-1},  H_j(v^0) = 0,
 
-    where decay_j = e^{-a_j dt / tau_sigma} and
-    gain_j = (b_j tau_sigma / a_j)(1 - decay_j).
+    and decay_j, gain_j from :func:`step_factors`.
     """
 
     def __init__(self, soe: SoeApprox, dt: float, tau_sigma: float,
-                 shape: int | tuple[int, ...]):
-        self.decay = np.exp(-soe.nodes * dt / tau_sigma)
-        self.gain = soe.weights * tau_sigma / soe.nodes * (1.0 - self.decay)
-        self.h = np.zeros((soe.n_exp, *np.atleast_1d(shape)))
-        self._column = (-1,) + (1,) * (self.h.ndim - 1)
+                 n_dofs: int):
+        self.decay, self.gain = step_factors(soe, dt, tau_sigma)
+        self.h = np.zeros((soe.n_exp, n_dofs))
 
     def advance(self, v_prev: np.ndarray) -> None:
-        self.h *= self.decay.reshape(self._column)
-        self.h += self.gain.reshape(self._column) * v_prev
+        self.h *= self.decay[:, None]
+        self.h += self.gain[:, None] * v_prev
 
     def total(self) -> np.ndarray:
         return self.h.sum(axis=0)
@@ -156,7 +161,7 @@ def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
     so that sum_j H_j(v^n) = sum_{i=0}^{n-1} theta_{n-i} v^i; evaluated in
     blocks of ENGINE_BLOCK (lags x exponentials) entries.
     """
-    gain = MemoryState(soe, dt, tau_sigma, ()).gain
+    _, gain = step_factors(soe, dt, tau_sigma)
     rate = soe.nodes * dt / tau_sigma
     out = np.empty(n_max)
     rows = max(1, ENGINE_BLOCK // soe.n_exp)
@@ -184,9 +189,9 @@ def compress_soe(soe: SoeApprox, dt: float, tau_sigma: float,
     """
     if soe.n_exp == 1 or n_steps <= 1:
         return soe
-    mem = MemoryState(soe, dt, tau_sigma, ())
+    decay, gain = step_factors(soe, dt, tau_sigma)
     # rates whose gain is 0 (decay rounds to 1, or underflow) carry nothing
-    live = np.flatnonzero(mem.gain > 0.0)
+    live = np.flatnonzero(gain > 0.0)
     n_geo = (1 + math.ceil(FIT_PER_OCTAVE * math.log2(n_steps / FIT_DENSE))
              if n_steps > FIT_DENSE else 0)
     lags = np.union1d(np.arange(1, min(n_steps, FIT_DENSE) + 1),
@@ -195,7 +200,7 @@ def compress_soe(soe: SoeApprox, dt: float, tau_sigma: float,
                                       / tau_sigma))
     powers[powers < 1e-30] = 0.0    # subnormals slow the QR a hundredfold
     theta = theta_weights(soe, dt, tau_sigma, n_steps)
-    target = powers @ mem.gain[live] / theta[0]
+    target = powers @ gain[live] / theta[0]
     scale = np.linalg.norm(powers, axis=0)    # >= 1: lag 1 gives 1
     basis = powers / scale
     q, _, perm = scipy.linalg.qr(basis, mode="economic", pivoting=True)
@@ -210,11 +215,11 @@ def compress_soe(soe: SoeApprox, dt: float, tau_sigma: float,
         except RuntimeError:    # iteration limit reached
             continue
         keep = cols[coef > 0.0]
-        gain = coef[coef > 0.0] * theta[0] / scale[keep]
+        refit = coef[coef > 0.0] * theta[0] / scale[keep]    # new gains
         idx = live[keep]
         approx = replace(soe, nodes=soe.nodes[idx],
-                         weights=gain * soe.nodes[idx]
-                         / (tau_sigma * (1.0 - mem.decay[idx])))
+                         weights=refit * soe.nodes[idx]
+                         / (tau_sigma * (1.0 - decay[idx])))
         dev = float(np.max(np.abs(
             theta_weights(approx, dt, tau_sigma, n_steps) - theta)))
         if dev <= COMPRESS_RTOL * theta[0]:

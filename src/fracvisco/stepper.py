@@ -3,25 +3,22 @@
 Each step solves the SPD system (M/dt + A) v^n = M v^{n-1}/dt + history + load
 with the band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once
 per run.
-Three interchangeable history treatments are provided:
+The paper's two history treatments are provided:
 
 - fast: sum-of-exponentials memory variables, one recursion per exponential
-  (O(N_exp) work and storage per step).  A sum the run builds itself is
-  certified pointwise by build_soe and then compressed by compress_soe to
-  the few exponentials that reproduce its N lag weights (5-9x fewer at
-  dt = h^2/2); a prebuilt sum is used as given;
-- theta: the mathematically equivalent explicit lag-weight convolution
-  sum_{i<n} theta_{n-i} B v^i (test reference for the fast scheme);
+  (O(N_exp) work and storage per step).  The run builds a sum certified
+  pointwise by build_soe and compresses it by compress_soe to the few
+  exponentials that reproduce its N lag weights (5-9x fewer at dt = h^2/2);
 - direct: product-quadrature weights from the kernel antiderivative,
   w_{n,i} = A_beta(t_n - t_i) - A_beta(t_n - t_{i+1}) (O(n) work per step,
   O(N) storage; the accuracy baseline).
 
-Direct and theta take their lag sum in blocks of HISTORY_BLOCK steps: at a
-block's first step n, one GEMM applies the block's Toeplitz slice of lag
-weights to the stored v^0..v^{n-1} for every step of the block, and each step
-adds only its own rows since the block began (at most HISTORY_BLOCK - 1).
-The work is still O(n) per step, but most of it runs at matrix-matrix speed
-instead of streaming the whole history once per step.
+Direct takes its lag sum in blocks of HISTORY_BLOCK steps: at a block's first
+step n, one GEMM applies the block's Toeplitz slice of lag weights to the
+stored v^0..v^{n-1} for every step of the block, and each step adds only its
+own rows since the block began (at most HISTORY_BLOCK - 1).  The work is still
+O(n) per step, but most of it runs at matrix-matrix speed instead of streaming
+the whole history once per step.
 
 The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
 engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
@@ -30,9 +27,9 @@ exceed the available physical memory raises BudgetExceeded up front.
 The matrices A, M and B, the load vectors and the Ritz initial datum do not
 depend on dt: they come from the per-mesh bundle of
 :func:`fracvisco.problems.precompute_loads`, which callers sweeping N on one
-mesh build once and pass as ``pre``; a bundle built for another material or
-dof count raises ValueError.  A run builds only what depends on dt:
-the factor of M/dt + A (once per run), the I(t) table, the SOE and its
+mesh build once and pass as ``pre``; a bundle built for another problem, mesh,
+material or dof count raises ValueError.  A run builds only what depends on
+dt: the factor of M/dt + A (once per run), the I(t) table, the SOE and its
 compression, and the history storage.  A step whose velocity is not finite
 raises SolveFailure naming the step.
 """
@@ -57,15 +54,14 @@ from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
                        conv_factor_grid, precompute_loads)
 from .soe import (MemoryState, SoeApprox, build_soe, compress_soe,
-                  exp_convolution, theta_weights)
+                  exp_convolution)
 
-HISTORY_BLOCK = 32  # steps per block GEMM of the direct/theta history
+HISTORY_BLOCK = 32  # steps per block GEMM of the direct history
 
 
 class Scheme(str, Enum):
     FAST = "fast"
     DIRECT = "direct"
-    THETA = "theta"
 
 
 @dataclass
@@ -89,7 +85,6 @@ class RunResult:
     peak_history_bytes: int
     soe: SoeApprox | None
     n_steps: int
-    dt: float
 
     @property
     def n_exp(self) -> int:
@@ -115,12 +110,12 @@ class TimeStepSystem:
 
 
 def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
-    """Refuse a run whose N-sized arrays (direct/theta history; times, I(t)
-    and lag-weight tables) exceed the available physical memory.  Direct
-    and theta also count the block temporaries, the HISTORY_BLOCK x N
-    weight slice and the HISTORY_BLOCK x n_dofs block sums."""
+    """Refuse a run whose N-sized arrays (direct history; times, I(t) and
+    lag-weight tables) exceed the available physical memory.  Direct also
+    counts the block temporaries, the HISTORY_BLOCK x N weight slice and
+    the HISTORY_BLOCK x n_dofs block sums."""
     need = 8 * n_steps * 3
-    if scheme is not Scheme.FAST:
+    if scheme is Scheme.DIRECT:
         need += 8 * (n_steps * n_dofs + HISTORY_BLOCK * (n_steps + n_dofs))
     require_memory(need, f"{scheme.value} run with N = {n_steps} steps and "
                    f"n_dofs = {n_dofs} (history and kernel tables)")
@@ -128,38 +123,43 @@ def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
 
 def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         n_steps: int, dofs: DofMap | None = None, eps: float | None = None,
-        q: float = 10.0, soe: SoeApprox | None = None,
-        pre: LoadPrecomputation | None = None,
+        q: float = 10.0, pre: LoadPrecomputation | None = None,
         conv_values: np.ndarray | None = None) -> RunResult:
     """Execute a full run and return the final-time coefficients.
 
-    eps defaults to dt/10 for the SOE-based schemes.  A sum built here is
-    compressed to the run's lag weights; a prebuilt soe is used as given and
-    overrides eps.  pre is the per-mesh bundle of precompute_loads for this
-    mesh, dofs and problem, built here when not given; a bundle built for
-    another material or dof count raises ValueError.  conv_values may
-    carry the kernel convolution factors I(t_n) for n = 1..n_steps if
-    already tabulated.
+    eps, the fast scheme's SOE tolerance, defaults to dt/10; the sum built
+    to it is compressed to the run's lag weights.  pre is the per-mesh
+    bundle of precompute_loads for this mesh, dofs and problem, built here
+    when not given; a bundle built for another problem, mesh, material or
+    dof count raises ValueError.  conv_values may carry the kernel
+    convolution factors I(t_n) for n = 1..n_steps if already tabulated; a
+    table of another length raises ValueError.
     """
     t_setup = time.perf_counter()
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    if conv_values is not None and conv_values.shape != (n_steps,):
+        raise ValueError(f"conv_values has shape {conv_values.shape}; a run "
+                         f"of N = {n_steps} steps needs ({n_steps},)")
     mat = problem.material
     if dofs is None:
         dofs = build_dof_map(mesh)
     _check_memory(scheme, n_steps, dofs.n_dofs)
     if pre is None:
         pre = precompute_loads(mesh, dofs, problem)
-    elif pre.material != mat or pre.mass.shape[0] != dofs.n_dofs:
-        raise ValueError(
-            f"the per-mesh bundle was built for {pre.material} on "
-            f"{pre.mass.shape[0]} dofs; this run has {mat} on "
-            f"{dofs.n_dofs} dofs")
+    else:
+        built = (pre.problem, *pre.mesh, pre.material, pre.mass.shape[0])
+        wanted = (problem.name, mesh.kind.value, mesh.n, mat, dofs.n_dofs)
+        if built != wanted:
+            raise ValueError("the per-mesh bundle was built for {} on the {} "
+                             "n={} mesh with {}, {} dofs; this run has {} on "
+                             "the {} n={} mesh with {}, {} dofs".format(
+                                 *built, *wanted))
     v = pre.v0
     timings = Timings()
     if n_steps == 0:
         return RunResult(coeffs=v.copy(), timings=timings,
-                         peak_history_bytes=0, soe=None, n_steps=0, dt=0.0)
+                         peak_history_bytes=0, soe=None, n_steps=0)
 
     dt = problem.final_time / n_steps
     mass, b_mat = pre.mass, pre.b_mat
@@ -168,27 +168,21 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     if conv_values is None:
         conv_values = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
 
-    if scheme is Scheme.DIRECT:
-        soe = None
-    elif soe is None:
+    soe: SoeApprox | None = None
+    history: np.ndarray | None = None
+    if scheme is Scheme.FAST:
         target = eps if eps is not None else dt / 10.0
         soe = compress_soe(build_soe(mat.alpha, target, q,
                                      t_min=dt / (10.0 * mat.tau_sigma),
                                      t_max=problem.final_time / mat.tau_sigma),
                            dt, mat.tau_sigma, n_steps)
-
-    mem: MemoryState | None = None
-    history: np.ndarray | None = None
-    if scheme is Scheme.FAST:
         mem = MemoryState(soe, dt, mat.tau_sigma, dofs.n_dofs)
         peak_bytes = mem.nbytes
     else:
         history = np.zeros((n_steps, dofs.n_dofs))
         history[0] = v
         peak_bytes = history.nbytes
-        weights = (theta_weights(soe, dt, mat.tau_sigma, n_steps)
-                   if scheme is Scheme.THETA
-                   else direct_weights(mat, dt, n_steps))
+        weights = direct_weights(mat, dt, n_steps)
         # store the reversal contiguously: a negative-stride vector forces
         # the history matvec off the fast BLAS path
         weights_rev = weights[::-1].copy()
@@ -231,4 +225,4 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         v = v_new
     timings.wall_total = time.perf_counter() - t_start
     return RunResult(coeffs=v, timings=timings, peak_history_bytes=peak_bytes,
-                     soe=soe, n_steps=n_steps, dt=dt)
+                     soe=soe, n_steps=n_steps)

@@ -1,6 +1,7 @@
 """Tests pinning the space-exact temporal oracle used by acceptance criteria 2
 and 3: it converges in the number of sine modes, it reproduces the values
-pinned in test_acceptance.py, and it stays independent of the code it checks.
+pinned in test_acceptance.py, and it stays independent of the code it checks,
+as does the lag-weight replay of lag_replay.py.
 """
 
 import ast
@@ -52,8 +53,9 @@ def test_lag_weights_telescope():
                         rel_tol=1e-13)
 
 
-def test_independent_of_checked_code():
-    tree = ast.parse((Path(__file__).parent / "spectral_oracle.py").read_text())
+def _package_imports(name: str) -> dict[str, set[str]]:
+    """fracvisco module -> names imported from it by tests/<name>."""
+    tree = ast.parse((Path(__file__).parent / name).read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -62,8 +64,18 @@ def test_independent_of_checked_code():
         elif isinstance(node, ast.ImportFrom):
             imported.setdefault(node.module, set()).update(
                 alias.name for alias in node.names)
-    package = {m: names for m, names in imported.items()
-               if m == "fracvisco" or m.startswith("fracvisco.")}
+    return {m: names for m, names in imported.items()
+            if m == "fracvisco" or m.startswith("fracvisco.")}
+
+
+def test_independent_of_checked_code():
+    package = _package_imports("spectral_oracle.py")
     assert set(package) <= {"fracvisco.mlf", "fracvisco.problems"}, package
     assert package.get("fracvisco.problems", set()) <= {"get_problem"}
+    # the lag replay checks the stepper: it may take the lag weights of an
+    # exponential sum, but none of the stepping code
+    package = _package_imports("lag_replay.py")
+    assert "fracvisco" not in package, package
+    assert "fracvisco.stepper" not in package, package
+    assert package.get("fracvisco.soe", set()) <= {"theta_weights"}, package
 

@@ -134,7 +134,8 @@ class TestLoads:
                                  p_b=np.array([4.0]), a_mat=unused,
                                  mass=unused, b_mat=unused,
                                  v0=np.array([np.nan]),
-                                 material=Material())
+                                 material=Material(), problem="ex61",
+                                 mesh=("quad", 1))
         got = assemble_load(pre, 0.0, 0.25)
         assert got[0] == pytest.approx(-1.0 + 2.0 - 1.0)
 

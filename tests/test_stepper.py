@@ -5,19 +5,19 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fracvisco import fem, problems, stepper
 from fracvisco.errors import BudgetExceeded, SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
-                           b_form_matrix, build_dof_map, ritz_project)
+                           build_dof_map, ritz_project)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_antiderivative
-from fracvisco.problems import (assemble_load, conv_factor_grid, exact_error,
-                                get_problem, precompute_loads)
-from fracvisco.soe import build_soe
-from fracvisco.stepper import (MemoryState, RunResult, Scheme, TimeStepSystem,
-                               direct_weights, run, theta_weights)
+from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
+                                precompute_loads)
+from fracvisco.soe import MemoryState, build_soe, theta_weights
+from fracvisco.stepper import (RunResult, Scheme, TimeStepSystem,
+                               direct_weights, run)
+from lag_replay import replay
 from spectral_oracle import temporal_solutions
 
 
@@ -148,23 +148,25 @@ class TestRun:
         with pytest.raises(ValueError):
             run(get_problem("ex61"), mesh, Scheme.FAST, -1)
 
-    def test_fast_equals_theta(self):
-        mesh = build_mesh("quad", 6)
+    @staticmethod
+    def _fast_against_lag_replay(n, n_steps):
+        # the memory recursion against the explicit convolution with the
+        # lag weights theta_l of the run's own exponential sum
+        mesh = build_mesh("quad", n)
         prob = get_problem("ex61")
-        fast = run(prob, mesh, Scheme.FAST, 8)
-        theta = run(prob, mesh, Scheme.THETA, 8)
+        fast = run(prob, mesh, Scheme.FAST, n_steps)
+        dt = prob.final_time / n_steps
+        lag = replay(prob, mesh, n_steps, theta_weights(
+            fast.soe, dt, prob.material.tau_sigma, n_steps))
         scale = np.abs(fast.coeffs).max()
-        assert np.abs(fast.coeffs - theta.coeffs).max() < 1e-10 * scale
+        assert np.abs(fast.coeffs - lag).max() < 1e-10 * scale
+
+    def test_fast_equals_theta(self):
+        self._fast_against_lag_replay(6, 8)
 
     def test_fast_equals_theta_across_blocks(self):
-        # N = 65 takes the theta lag sum across two block boundaries
-        assert stepper.HISTORY_BLOCK == 32
-        mesh = build_mesh("quad", 6)
-        prob = get_problem("ex61")
-        fast = run(prob, mesh, Scheme.FAST, 65)
-        theta = run(prob, mesh, Scheme.THETA, 65)
-        scale = np.abs(fast.coeffs).max()
-        assert np.abs(fast.coeffs - theta.coeffs).max() < 1e-10 * scale
+        # the same check over a longer run
+        self._fast_against_lag_replay(6, 65)
 
     def test_fast_approaches_direct_with_tight_soe(self):
         mesh = build_mesh("quad", 6)
@@ -174,16 +176,15 @@ class TestRun:
         assert np.abs(fast.coeffs - direct.coeffs).max() < 1e-6
 
     def test_alpha_one_schemes_agree(self):
-        # alpha = 1: the SOE is the exact single exponential, so all three
+        # alpha = 1: the SOE is the exact single exponential, so both
         # histories are the same convolution
         mesh = build_mesh("quad", 4)
         prob = get_problem("ex61", Material(alpha=1.0))
         direct = run(prob, mesh, Scheme.DIRECT, 8)
+        fast = run(prob, mesh, Scheme.FAST, 8)
+        assert fast.n_exp == 1
         scale = np.abs(direct.coeffs).max()
-        for scheme in (Scheme.FAST, Scheme.THETA):
-            res = run(prob, mesh, scheme, 8)
-            assert res.n_exp == 1
-            assert np.abs(res.coeffs - direct.coeffs).max() < 1e-11 * scale
+        assert np.abs(fast.coeffs - direct.coeffs).max() < 1e-11 * scale
 
     def test_history_beyond_memory_refused(self):
         mesh = build_mesh("quad", 2)
@@ -203,58 +204,26 @@ class TestRun:
             run(prob, mesh, Scheme.FAST, 8, conv_values=conv)
 
     def test_degenerate_memory_matches_plain_parabolic_stepper(self):
-        # with B = 0 the scheme is a plain implicit Euler evolution; replay
-        # it with a hand-rolled loop and dense solves
+        # with B = 0 the scheme is a plain implicit Euler evolution: the
+        # replay with no history at all
         mat = Material(tau_sigma=1.0, tau_eps=1.0, mu_d=1.0, lambda_d=1.0)
         prob = get_problem("ex61", mat)
         mesh = build_mesh("quad", 5)
-        dofs = build_dof_map(mesh)
         n_steps = 6
-        res = run(prob, mesh, Scheme.FAST, n_steps, dofs=dofs)
-
-        dt = prob.final_time / n_steps
-        mass = assemble_mass(mesh, dofs).toarray()
-        a = a_form_matrix(mesh, dofs, mat).toarray()
-        pre = precompute_loads(mesh, dofs, prob)
-        times = dt * np.arange(1, n_steps + 1)
-        conv = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
-        v = ritz_project(mesh, dofs,
-                         sp.csr_matrix(a), mat, prob.spatial_gradient)
-        lhs = mass / dt + a
-        for n in range(1, n_steps + 1):
-            load = assemble_load(pre, times[n - 1], conv[n - 1])
-            v = np.linalg.solve(lhs, mass @ v / dt + load)
-        assert np.abs(res.coeffs - v).max() < 1e-10
+        res = run(prob, mesh, Scheme.FAST, n_steps)
+        plain = replay(prob, mesh, n_steps, np.zeros(n_steps))
+        assert np.abs(res.coeffs - plain).max() < 1e-10
 
     @pytest.mark.parametrize("n_steps", [5, 31, 32, 33, 97])
     def test_direct_scheme_manual_replay(self, n_steps):
-        # replay the explicit-history recursion with dense algebra, one
-        # weighted sum per step; the step counts straddle the block size
+        # the blocked lag sum against the dense replay; the step counts
+        # straddle the block size
         assert stepper.HISTORY_BLOCK == 32
         prob = get_problem("ex61")
-        mat = prob.material
         mesh = build_mesh("tri", 4)
-        dofs = build_dof_map(mesh)
-        res = run(prob, mesh, Scheme.DIRECT, n_steps, dofs=dofs)
-
-        dt = prob.final_time / n_steps
-        mass = assemble_mass(mesh, dofs).toarray()
-        a = a_form_matrix(mesh, dofs, mat).toarray()
-        b = b_form_matrix(mesh, dofs, mat).toarray()
-        pre = precompute_loads(mesh, dofs, prob)
-        times = dt * np.arange(1, n_steps + 1)
-        conv = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
-        w = direct_weights(mat, dt, n_steps)
-        v = ritz_project(mesh, dofs, sp.csr_matrix(a), mat,
-                         prob.spatial_gradient)
-        hist = [v]
-        lhs = mass / dt + a
-        for n in range(1, n_steps + 1):
-            load = assemble_load(pre, times[n - 1], conv[n - 1])
-            lagged = sum(w[n - 1 - i] * hist[i] for i in range(n))
-            v = np.linalg.solve(lhs, mass @ v / dt + b @ lagged + load)
-            hist.append(v)
-        assert np.abs(res.coeffs - v).max() < 1e-9
+        res = run(prob, mesh, Scheme.DIRECT, n_steps)
+        w = direct_weights(prob.material, prob.final_time / n_steps, n_steps)
+        assert np.abs(res.coeffs - replay(prob, mesh, n_steps, w)).max() < 1e-9
 
     def test_bundle_of_another_material_refused(self):
         mesh = build_mesh("quad", 8)
@@ -271,6 +240,37 @@ class TestRun:
         pre = precompute_loads(coarse, build_dof_map(coarse), prob)
         with pytest.raises(ValueError, match="18 dofs.*98 dofs"):
             run(prob, build_mesh("quad", 8), Scheme.DIRECT, 4, pre=pre)
+
+    def test_bundle_of_another_mesh_kind_refused(self):
+        # tri and quad meshes with the same n have the same dof count
+        prob = get_problem("ex61")
+        tri = build_mesh("tri", 8)
+        pre = precompute_loads(tri, build_dof_map(tri), prob)
+        with pytest.raises(ValueError, match="tri n=8.*quad n=8"):
+            run(prob, build_mesh("quad", 8), Scheme.DIRECT, 4, pre=pre)
+
+    def test_bundle_of_another_problem_refused(self):
+        mesh = build_mesh("quad", 8)
+        dofs = build_dof_map(mesh)
+        pre = precompute_loads(mesh, dofs, get_problem("ex62"))
+        with pytest.raises(ValueError, match="ex62.*ex61"):
+            run(get_problem("ex61"), mesh, Scheme.DIRECT, 4, dofs=dofs,
+                pre=pre)
+
+    @pytest.mark.parametrize("length", [7, 16])
+    def test_conv_values_of_another_length_refused(self, length,
+                                                   monkeypatch):
+        # refused before the per-mesh bundle is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before the check")
+
+        monkeypatch.setattr(stepper, "precompute_loads", refuse)
+        prob = get_problem("ex61")
+        conv = conv_factor_grid(prob.material.alpha, prob.material.tau_sigma,
+                                np.arange(1, length + 1) / length)
+        with pytest.raises(ValueError, match=rf"\({length},\).*\(8,\)"):
+            run(prob, build_mesh("quad", 4), Scheme.FAST, 8,
+                conv_values=conv)
 
     def test_peak_history_bytes(self):
         mesh = build_mesh("quad", 6)
@@ -323,15 +323,10 @@ class TestRun:
             run(prob, mesh, scheme, 6, dofs=dofs, pre=pre)
             assert factored == [(dofs.n_dofs, dofs.n_dofs)]
 
-    def test_prebuilt_soe_reused(self, soe):
-        mesh = build_mesh("quad", 5)
-        prob = get_problem("ex61")
-        res = run(prob, mesh, Scheme.FAST, 8, soe=soe)
-        assert res.n_exp == soe.n_exp
-
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_compressed_run_matches_built_soe(self, alpha):
-        # the sum run() builds and compresses, against the built sum as given
+        # the sum run() builds and compresses, against the lag weights of
+        # the built sum
         mesh = build_mesh("quad", 8)
         prob = get_problem("ex61", Material(alpha=alpha))
         n_steps, tau = 64, prob.material.tau_sigma
@@ -339,10 +334,11 @@ class TestRun:
         built = build_soe(alpha, dt / 10.0, 10, t_min=dt / (10.0 * tau),
                           t_max=prob.final_time / tau)
         own = run(prob, mesh, Scheme.FAST, n_steps)
-        given = run(prob, mesh, Scheme.FAST, n_steps, soe=built)
-        assert own.n_exp < given.n_exp == built.n_exp
-        scale = np.abs(given.coeffs).max()
-        assert np.abs(own.coeffs - given.coeffs).max() < 1e-9 * scale
+        lag = replay(prob, mesh, n_steps,
+                     theta_weights(built, dt, tau, n_steps))
+        assert own.n_exp < built.n_exp
+        scale = np.abs(lag).max()
+        assert np.abs(own.coeffs - lag).max() < 1e-9 * scale
 
     def test_compression_shrinks_the_history(self):
         mesh = build_mesh("quad", 4)
@@ -363,7 +359,6 @@ class TestRun:
         res = run(prob, mesh, Scheme.FAST, 4, eps=1e-3)
         assert isinstance(res, RunResult)
         assert res.n_steps == 4
-        assert res.dt == pytest.approx(0.25)
         assert res.timings.wall_total > 0.0
         assert res.timings.wall_setup > 0.0
 
@@ -385,7 +380,7 @@ class TestTemporalDifferences:
     difference, so the ratio to the oracle's difference shows the time
     discretisation alone: every ratio reads 1 - 6e-4 in each scheme.  A
     right-endpoint convolution (sum_{i=1}^{n} w_{n-i+1} B v^i) made in all
-    three schemes moves the ratios by 1-15 %, a one-step-stale history
+    history treatments moves the ratios by 1-15 %, a one-step-stale history
     (sum_{i<n-1} w_{n-1-i} B v^i) by 1.0-2.3 %; criteria 2 and 3 cannot see
     either."""
 
