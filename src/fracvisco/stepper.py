@@ -2,8 +2,7 @@
 
 Each step solves the SPD system (M/dt + A) v^n = M v^{n-1}/dt + history + load
 with the band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once
-per run.
-The paper's two history treatments are provided:
+per run.  The paper's two history treatments are provided:
 
 - fast: sum-of-exponentials memory variables, one recursion per exponential
   (O(N_exp) work and storage per step).  The run builds a sum certified
@@ -11,14 +10,8 @@ The paper's two history treatments are provided:
   exponentials that reproduce its N lag weights (5-9x fewer at dt = h^2/2);
 - direct: product-quadrature weights from the kernel antiderivative,
   w_{n,i} = A_beta(t_n - t_i) - A_beta(t_n - t_{i+1}) (O(n) work per step,
-  O(N) storage; the accuracy baseline).
-
-Direct takes its lag sum in blocks of HISTORY_BLOCK steps: at a block's first
-step n, one GEMM applies the block's Toeplitz slice of lag weights to the
-stored v^0..v^{n-1} for every step of the block, and each step adds only its
-own rows since the block began (at most HISTORY_BLOCK - 1).  The work is still
-O(n) per step, but most of it runs at matrix-matrix speed instead of streaming
-the whole history once per step.
+  N stored dof-vectors; the accuracy baseline).  DirectHistory takes its lag
+  sum with the members of MemoryState, so one step loop serves both.
 
 The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
 engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
@@ -42,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import toeplitz
 
 from .errors import SolveFailure, require_memory
 from .fem import DofMap, Material, build_dof_map, spd_solver
@@ -66,9 +59,9 @@ class Scheme(str, Enum):
 
 @dataclass
 class Timings:
-    """wall_setup: time before the first step (kernel tables, SOE build and
-    compression, factorisation, and the per-mesh bundle if not passed);
-    wall_total: the step loop, of which wall_history and wall_solve."""
+    """wall_setup: time before the first step (kernel tables, SOE, factor and
+    the per-mesh bundle if not passed); wall_total: the step loop, of which
+    wall_history (direct's includes storing v^{n-1}) and wall_solve."""
 
     wall_setup: float = 0.0
     wall_total: float = 0.0
@@ -98,6 +91,42 @@ def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
     anti = exp_convolution(material.alpha, material.tau_sigma,
                            dt * np.arange(n_max + 1), 0.0)
     return np.diff(anti)
+
+
+class DirectHistory:
+    """The direct lag sum sum_{i<n} w_{n-i} v^i (weights[l-1] = w_l) over
+    the stored v^0..v^{n-1}, with the members of soe.MemoryState.  It is
+    taken in blocks of HISTORY_BLOCK steps: at a block's first step n, one
+    GEMM applies the block's Toeplitz slice of lag weights to v^0..v^{n-1}
+    for every step of the block, and each step adds only its own rows since
+    the block began.  The work is still O(n) per step, but most of it runs
+    at matrix-matrix speed instead of streaming the history every step."""
+
+    def __init__(self, weights: np.ndarray, n_dofs: int):
+        self.w = weights
+        # w_rev[N - n + i] weighs v^i; contiguous to stay on the BLAS path
+        self.w_rev = weights[::-1].copy()
+        self.h = np.zeros((weights.size, n_dofs))
+        self.n = 0
+
+    def advance(self, v_prev: np.ndarray) -> None:
+        self.h[self.n] = v_prev
+        self.n += 1
+
+    def total(self) -> np.ndarray:
+        n, n_max = self.n, self.w.size
+        k = (n - 1) % HISTORY_BLOCK
+        if k == 0:
+            self.start = n
+            # row k holds the lags n + k - i of v^0..v^{n-1}
+            self.far = toeplitz(self.w[n - 1:n - 1 + HISTORY_BLOCK],
+                                self.w[n - 1::-1]) @ self.h[:n]
+        near = self.w_rev[n_max - n + self.start:] @ self.h[self.start:n]
+        return self.far[k] + near
+
+    @property
+    def nbytes(self) -> int:
+        return self.h.nbytes
 
 
 class TimeStepSystem:
@@ -136,6 +165,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     table of another length raises ValueError.
     """
     t_setup = time.perf_counter()
+    scheme = Scheme(scheme)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if conv_values is not None and conv_values.shape != (n_steps,):
@@ -162,67 +192,37 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
                          peak_history_bytes=0, soe=None, n_steps=0)
 
     dt = problem.final_time / n_steps
-    mass, b_mat = pre.mass, pre.b_mat
-    system = TimeStepSystem(mass, pre.a_mat, dt)
+    system = TimeStepSystem(pre.mass, pre.a_mat, dt)
     times = dt * np.arange(1, n_steps + 1)
     if conv_values is None:
         conv_values = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
 
     soe: SoeApprox | None = None
-    history: np.ndarray | None = None
     if scheme is Scheme.FAST:
         target = eps if eps is not None else dt / 10.0
         soe = compress_soe(build_soe(mat.alpha, target, q,
                                      t_min=dt / (10.0 * mat.tau_sigma),
                                      t_max=problem.final_time / mat.tau_sigma),
                            dt, mat.tau_sigma, n_steps)
-        mem = MemoryState(soe, dt, mat.tau_sigma, dofs.n_dofs)
-        peak_bytes = mem.nbytes
+        hist = MemoryState(soe, dt, mat.tau_sigma, dofs.n_dofs)
     else:
-        history = np.zeros((n_steps, dofs.n_dofs))
-        history[0] = v
-        peak_bytes = history.nbytes
-        weights = direct_weights(mat, dt, n_steps)
-        # store the reversal contiguously: a negative-stride vector forces
-        # the history matvec off the fast BLAS path
-        weights_rev = weights[::-1].copy()
+        hist = DirectHistory(direct_weights(mat, dt, n_steps), dofs.n_dofs)
 
     t_start = time.perf_counter()
     timings.wall_setup = t_start - t_setup
     for n in range(1, n_steps + 1):
         load = assemble_load(pre, times[n - 1], conv_values[n - 1])
         h0 = time.perf_counter()
-        if scheme is Scheme.FAST:
-            mem.advance(v)
-            rhs_hist = b_mat @ mem.total()
-        else:
-            # weights[l-1] is the lag-l weight and v^i gets lag n - i, so the
-            # contiguous suffix weights_rev[n_steps - n:] lines up with
-            # v^0..v^{n-1}.  At a block's first step one GEMM sums the rows
-            # v^0..v^{start-1} for every step of the block (row k of the
-            # window slice holds the lags start + k - i); each step then
-            # adds only its own rows v^start..v^{n-1}.
-            k = (n - 1) % HISTORY_BLOCK
-            if k == 0:
-                start = n
-                nb = min(HISTORY_BLOCK, n_steps - n + 1)
-                lags = sliding_window_view(weights_rev, n)[
-                    n_steps - n - nb + 1:n_steps - n + 1]
-                far = np.ascontiguousarray(lags[::-1]) @ history[:n]
-            near = weights_rev[n_steps - n + start:] @ history[start:n]
-            rhs_hist = b_mat @ (far[k] + near)
+        hist.advance(v)
+        rhs_hist = pre.b_mat @ hist.total()
         h1 = time.perf_counter()
-        rhs = mass @ v / dt + rhs_hist + load
-        v_new = system.solve(rhs)
+        v = system.solve(pre.mass @ v / dt + rhs_hist + load)
         h2 = time.perf_counter()
-        if not np.isfinite(v_new).all():
+        if not np.isfinite(v).all():
             raise SolveFailure(f"step {n} of N = {n_steps}: the velocity is "
                                f"not finite (n_dofs = {dofs.n_dofs})")
         timings.wall_history += h1 - h0
         timings.wall_solve += h2 - h1
-        if history is not None and n < n_steps:
-            history[n] = v_new
-        v = v_new
     timings.wall_total = time.perf_counter() - t_start
-    return RunResult(coeffs=v, timings=timings, peak_history_bytes=peak_bytes,
-                     soe=soe, n_steps=n_steps)
+    return RunResult(coeffs=v, timings=timings,
+                     peak_history_bytes=hist.nbytes, soe=soe, n_steps=n_steps)

@@ -15,8 +15,8 @@ from fracvisco.mlf import kernel_antiderivative
 from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
                                 precompute_loads)
 from fracvisco.soe import MemoryState, build_soe, theta_weights
-from fracvisco.stepper import (RunResult, Scheme, TimeStepSystem,
-                               direct_weights, run)
+from fracvisco.stepper import (DirectHistory, RunResult, Scheme,
+                               TimeStepSystem, direct_weights, run)
 from lag_replay import replay
 from spectral_oracle import temporal_solutions
 
@@ -115,6 +115,29 @@ class TestWeights:
         assert np.allclose(w, expected, rtol=1e-10)
 
 
+class TestHistoryContract:
+    @pytest.mark.parametrize("scheme", ["fast", "direct"])
+    def test_total_is_the_lag_sum(self, soe, scheme):
+        # after each advance, total() is sum_{i<n} w_{n-i} v^i with the
+        # scheme's lag weights; N = 70 crosses the direct block starts at
+        # 33 and 65 and ends inside a partial block
+        n_max, n_dofs, dt, tau = 70, 5, 0.01, 0.5
+        if scheme == "fast":
+            w = theta_weights(soe, dt, tau, n_max)
+            hist = MemoryState(soe, dt, tau, n_dofs)
+            assert hist.nbytes == soe.n_exp * n_dofs * 8
+        else:
+            w = direct_weights(Material(), dt, n_max)
+            hist = DirectHistory(w, n_dofs)
+            assert hist.nbytes == n_max * n_dofs * 8
+        v = np.random.default_rng(13).standard_normal((n_max, n_dofs))
+        for n in range(1, n_max + 1):
+            hist.advance(v[n - 1])
+            want = w[n - 1::-1] @ v[:n]
+            scale = np.abs(w[n - 1::-1]) @ np.abs(v[:n])
+            assert np.all(np.abs(hist.total() - want) <= 1e-12 * scale), n
+
+
 class TestTimeStepSystem:
     def test_one_step_matches_dense_solve(self):
         mesh = build_mesh("quad", 4)
@@ -185,6 +208,15 @@ class TestRun:
         assert fast.n_exp == 1
         scale = np.abs(direct.coeffs).max()
         assert np.abs(fast.coeffs - direct.coeffs).max() < 1e-11 * scale
+
+    def test_scheme_given_as_its_value(self):
+        mesh = build_mesh("quad", 4)
+        prob = get_problem("ex61")
+        by_value = run(prob, mesh, "direct", 8)
+        assert np.array_equal(by_value.coeffs,
+                              run(prob, mesh, Scheme.DIRECT, 8).coeffs)
+        with pytest.raises(ValueError, match="'theta' is not a valid"):
+            run(prob, mesh, "theta", 8)
 
     def test_history_beyond_memory_refused(self):
         mesh = build_mesh("quad", 2)
