@@ -76,6 +76,9 @@ CASES = {
         "convergence-time", "--mesh", "tri", "--mesh-n", "8",
         "--steps", "5,10", "--alpha", "0.3", "--alpha", "0.8",
         "--problem", "ex62", "--out", "OUT"]),
+    "convergence-time quad direct": (CLI, [
+        "convergence-time", "--mesh", "quad", "--mesh-n", "8",
+        "--steps", "5,10", "--scheme", "direct", "--out", "OUT"]),
     "convergence-space quad": (CLI, [
         "convergence-space", "--config", "CONFIG", "--mesh", "quad",
         "--out", "OUT"]),

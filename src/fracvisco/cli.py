@@ -19,8 +19,7 @@ import argparse
 import configparser
 import math
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -165,107 +164,90 @@ def _svg_loglog(path: Path, title: str, xlabel: str, ylabel: str,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_convergence_space(cfg: RunConfig) -> list[str]:
+def _mesh(cfg: RunConfig, n: int):
+    """The cfg.mesh_kind mesh of n cells per side and its dof map."""
+    mesh = build_mesh(cfg.mesh_kind, n)
+    return mesh, build_dof_map(mesh)
+
+
+def _problem(cfg: RunConfig, alpha: float):
+    return get_problem(cfg.problem, cfg.material(alpha),
+                       final_time=cfg.final_time)
+
+
+def _solve(cfg: RunConfig, problem, mesh, dofs, scheme: str, n_steps: int,
+           pre=None, conv=None) -> dict:
+    """One run and its record: the final-time L2 error, the run's timings
+    and its history counters."""
+    res = run(problem, mesh, scheme, n_steps, dofs=dofs,
+              eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q, pre=pre,
+              conv_values=conv)
+    return {"scheme": Scheme(scheme).value, "n": mesh.n, "n_steps": n_steps,
+            "alpha": problem.material.alpha,
+            "error": exact_error(mesh, dofs, res.coeffs, problem,
+                                 cfg.final_time),
+            **asdict(res.timings),
+            "peak_history_bytes": res.peak_history_bytes, "n_exp": res.n_exp,
+            "lag_deviation": (None if res.soe is None
+                              else res.soe.lag_deviation)}
+
+
+def cmd_convergence(cfg: RunConfig, space: bool) -> list[str]:
+    """The spatial ladder (each mesh of spatial_ns at dt = h^2/2) or the
+    temporal one (each step count of n_steps_list on the mesh_n mesh): one
+    printed table per alpha, and one CSV of all of them."""
+    levels = ([(n, max(1, round(cfg.final_time * n * n)))
+               for n in cfg.spatial_ns] if space
+              else [(cfg.mesh_n, n_steps) for n_steps in cfg.n_steps_list])
+    label, name, column = (("spatial", "space", "h_over_sqrt2") if space
+                           else ("temporal", "time", "n_steps"))
+    meshes = {n: _mesh(cfg, n) for n, _ in levels}
     tables = []
     rows_csv: list[list[str]] = []
-    scheme = Scheme(cfg.scheme)
     for alpha in cfg.alphas:
-        mat = cfg.material(alpha)
-        problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
-        errors: list[float] = []
-        dts: list[float] = []
-        for n in cfg.spatial_ns:
-            mesh = build_mesh(cfg.mesh_kind, n)
-            dofs = build_dof_map(mesh)
-            n_steps = max(1, round(cfg.final_time * n * n))   # dt = h^2/2
-            dts.append(cfg.final_time / n_steps)
-            res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-                      eps=cfg.eps_for(dts[-1]), q=cfg.q)
-            errors.append(exact_error(mesh, dofs, res.coeffs, problem,
-                                      cfg.final_time))
+        problem = _problem(cfg, alpha)
+        pres = {n: precompute_loads(*md, problem) for n, md in meshes.items()}
+        errors = [_solve(cfg, problem, *meshes[n], cfg.scheme, n_steps,
+                         pre=pres[n])["error"] for n, n_steps in levels]
         orders = _orders(errors)
         tables.append(_ladder_table(
-            f"spatial {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
-            [1.0 / n for n in cfg.spatial_ns], errors, orders))
-        for n, dt, e, o in zip(cfg.spatial_ns, dts, errors, orders):
+            f"{label} {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
+            [1.0 / n if space else cfg.final_time / n_steps
+             for n, n_steps in levels], errors, orders))
+        for (n, n_steps), e, o in zip(levels, errors, orders):
             rows_csv.append([cfg.mesh_kind.value, _fmt(alpha), str(n),
-                             _fmt(1.0 / n), _fmt(dt), _fmt(e),
+                             _fmt(1.0 / n) if space else str(n_steps),
+                             _fmt(cfg.final_time / n_steps), _fmt(e),
                              _fmt(o) if o is not None else ""])
-    _write_csv(cfg.out_dir / "convergence_space.csv",
-               ["mesh_kind", "alpha", "n", "h_over_sqrt2", "dt", "error", "order"],
+    _write_csv(cfg.out_dir / f"convergence_{name}.csv",
+               ["mesh_kind", "alpha", "n", column, "dt", "error", "order"],
                rows_csv)
     return tables
 
 
-def cmd_convergence_time(cfg: RunConfig) -> list[str]:
-    tables = []
-    rows_csv: list[list[str]] = []
-    scheme = Scheme(cfg.scheme)
-    mesh = build_mesh(cfg.mesh_kind, cfg.mesh_n)
-    dofs = build_dof_map(mesh)
-    for alpha in cfg.alphas:
-        mat = cfg.material(alpha)
-        problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
-        pre = precompute_loads(mesh, dofs, problem)
-        errors = []
-        for n_steps in cfg.n_steps_list:
-            res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-                      eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q,
-                      pre=pre)
-            errors.append(exact_error(mesh, dofs, res.coeffs, problem,
-                                      cfg.final_time))
-        orders = _orders(errors)
-        tables.append(_ladder_table(
-            f"temporal {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
-            [cfg.final_time / ns for ns in cfg.n_steps_list], errors, orders))
-        for ns, e, o in zip(cfg.n_steps_list, errors, orders):
-            rows_csv.append([cfg.mesh_kind.value, _fmt(alpha), str(cfg.mesh_n),
-                             str(ns), _fmt(cfg.final_time / ns), _fmt(e),
-                             _fmt(o) if o is not None else ""])
-    _write_csv(cfg.out_dir / "convergence_time.csv",
-               ["mesh_kind", "alpha", "n", "n_steps", "dt", "error", "order"],
-               rows_csv)
-    return tables
+_BENCH_COLUMNS = ("scheme", "n", "n_steps", "alpha", "error", "wall_total",
+                  "wall_history", "wall_solve", "peak_history_bytes", "n_exp")
 
 
 def cmd_bench(cfg: RunConfig) -> list[dict]:
     """Fast-vs-direct sweep at fixed mesh; serial, one discarded warmup."""
-    alpha = cfg.alphas[0]
-    mat = cfg.material(alpha)
-    problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
-    mesh = build_mesh(cfg.mesh_kind, cfg.mesh_n)
-    dofs = build_dof_map(mesh)
+    problem = _problem(cfg, cfg.alphas[0])
+    mesh, dofs = _mesh(cfg, cfg.mesh_n)
     pre = precompute_loads(mesh, dofs, problem)
     schemes = list(Scheme) if cfg.scheme == "both" else [Scheme(cfg.scheme)]
-
-    warm_steps = min(cfg.n_steps_list)
-    run(problem, mesh, schemes[0], warm_steps, dofs=dofs,
-        eps=cfg.eps_for(cfg.final_time / warm_steps), q=cfg.q, pre=pre)
+    _solve(cfg, problem, mesh, dofs, schemes[0], min(cfg.n_steps_list),
+           pre=pre)
 
     records = []
     for n_steps in cfg.n_steps_list:
         dt = cfg.final_time / n_steps
-        conv = conv_factor_grid(mat.alpha, mat.tau_sigma,
+        conv = conv_factor_grid(problem.material.alpha, cfg.tau_sigma,
                                 dt * np.arange(1, n_steps + 1))
-        for scheme in schemes:
-            res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-                      eps=cfg.eps_for(dt), q=cfg.q, pre=pre, conv_values=conv)
-            err = exact_error(mesh, dofs, res.coeffs, problem, cfg.final_time)
-            records.append({
-                "scheme": scheme.value, "n": cfg.mesh_n, "n_steps": n_steps,
-                "alpha": alpha, "error": err,
-                "wall_total": res.timings.wall_total,
-                "wall_history": res.timings.wall_history,
-                "wall_solve": res.timings.wall_solve,
-                "peak_history_bytes": res.peak_history_bytes,
-                "n_exp": res.n_exp})
-    _write_csv(cfg.out_dir / "bench.csv",
-               ["scheme", "n", "n_steps", "alpha", "error", "wall_total",
-                "wall_history", "wall_solve", "peak_history_bytes", "n_exp"],
-               [[r["scheme"], str(r["n"]), str(r["n_steps"]), _fmt(r["alpha"]),
-                 _fmt(r["error"]), _fmt(r["wall_total"]), _fmt(r["wall_history"]),
-                 _fmt(r["wall_solve"]), str(r["peak_history_bytes"]),
-                 str(r["n_exp"])] for r in records])
+        records += [_solve(cfg, problem, mesh, dofs, scheme, n_steps,
+                           pre=pre, conv=conv) for scheme in schemes]
+    _write_csv(cfg.out_dir / "bench.csv", list(_BENCH_COLUMNS),
+               [[_fmt(r[c]) if isinstance(r[c], float) else str(r[c])
+                 for c in _BENCH_COLUMNS] for r in records])
     for quantity, fname, ylab in (("wall_history", "bench_time.svg", "history wall time [s]"),
                                   ("peak_history_bytes", "bench_memory.svg", "history memory [bytes]")):
         series = []
@@ -296,24 +278,8 @@ def cmd_soe_table(alpha: float, eps: float, q: float, t_min: float,
 
 
 def cmd_single_run(cfg: RunConfig, n: int, n_steps: int) -> dict:
-    alpha = cfg.alphas[0]
-    mat = cfg.material(alpha)
-    problem = get_problem(cfg.problem, mat, final_time=cfg.final_time)
-    mesh = build_mesh(cfg.mesh_kind, n)
-    dofs = build_dof_map(mesh)
-    scheme = Scheme(cfg.scheme)
-    t0 = time.perf_counter()
-    res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-              eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q)
-    wall = time.perf_counter() - t0
-    err = exact_error(mesh, dofs, res.coeffs, problem, cfg.final_time)
-    return {"scheme": scheme.value, "n": n, "n_steps": n_steps, "alpha": alpha,
-            "error": err, "wall_total": wall,
-            "wall_setup": res.timings.wall_setup,
-            "wall_history": res.timings.wall_history,
-            "peak_history_bytes": res.peak_history_bytes, "n_exp": res.n_exp,
-            "lag_deviation": (None if res.soe is None
-                              else res.soe.lag_deviation)}
+    return _solve(cfg, _problem(cfg, cfg.alphas[0]), *_mesh(cfg, n),
+                  cfg.scheme, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +348,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--eps-rule", default=None,
                         help="dt-over-10 or fixed:<value>")
 
-    for name in ("convergence-space", "convergence-time", "bench"):
+    common(sub.add_parser("convergence-space"))
+    for name in ("convergence-time", "bench"):
         ladder_p = sub.add_parser(name)
         common(ladder_p)
         ladder_p.add_argument("--mesh-n", type=int, default=None)
@@ -438,10 +405,9 @@ def main(argv: list[str] | None = None) -> int:
                                 args.t_max, args.out))
             return 0
         cfg = _config_from_args(args)
-        if args.command == "convergence-space":
-            print("\n".join(cmd_convergence_space(cfg)))
-        elif args.command == "convergence-time":
-            print("\n".join(cmd_convergence_time(cfg)))
+        if args.command.startswith("convergence-"):
+            space = args.command == "convergence-space"
+            print("\n".join(cmd_convergence(cfg, space)))
         elif args.command == "bench":
             for rec in cmd_bench(cfg):
                 print(f"{rec['scheme']:6s} N={rec['n_steps']:6d} "
@@ -453,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
                        else f" lag_dev={rec['lag_deviation']:.1e}")
             print(f"{rec['scheme']} n={rec['n']} N={rec['n_steps']} "
                   f"alpha={rec['alpha']} error={rec['error']:.5e} "
-                  f"wall={rec['wall_total']:.3f}s "
+                  f"wall={rec['wall_setup'] + rec['wall_total']:.3f}s "
                   f"setup={rec['wall_setup']:.3f}s n_exp={rec['n_exp']}"
                   + lag_dev)
         return 0

@@ -223,11 +223,12 @@ def a_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material) -> sp.csr_matrix:
     return assemble_elastic(mesh, dofs, mat.mu_c, mat.lambda_c, 1.0 / mat.rho)
 
 
-def b_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material) -> sp.csr_matrix:
-    """Matrix of the b-form: (C - (tau_eps/tau_sigma)^alpha D) / rho."""
-    kc = assemble_elastic(mesh, dofs, mat.mu_c, mat.lambda_c, 1.0)
+def b_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material,
+                  a_mat: sp.csr_matrix) -> sp.csr_matrix:
+    """Matrix of the b-form, (C - (tau_eps/tau_sigma)^alpha D) / rho, from
+    the a-form matrix a_mat = C / rho."""
     kd = assemble_elastic(mesh, dofs, mat.mu_d, mat.lambda_d, 1.0)
-    return ((kc - mat.ratio_alpha * kd) / mat.rho).tocsr()
+    return (a_mat - (mat.ratio_alpha / mat.rho) * kd).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
     return LoadPrecomputation(
         p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
         p_b=p_b, a_mat=a_mat, mass=assemble_mass(mesh, dofs),
-        b_mat=b_form_matrix(mesh, dofs, mat), v0=spd_solver(a_mat)(p_a),
+        b_mat=b_form_matrix(mesh, dofs, mat, a_mat), v0=spd_solver(a_mat)(p_a),
         material=mat, problem=problem.name, mesh=(mesh.kind.value, mesh.n))
 
 

@@ -108,6 +108,7 @@ class DirectHistory:
         self.w_rev = weights[::-1].copy()
         self.h = np.zeros((weights.size, n_dofs))
         self.n = 0
+        self.start, self.far = 0, np.zeros((HISTORY_BLOCK, n_dofs))
 
     def advance(self, v_prev: np.ndarray) -> None:
         self.h[self.n] = v_prev

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from fracvisco.cli import (RunConfig, _load_config, _orders,
-                           cmd_convergence_space, cmd_convergence_time, main)
+from fracvisco.cli import (RunConfig, _load_config, _orders, cmd_convergence,
+                           main)
 from fracvisco.mesh import MeshKind
 
 
@@ -71,7 +71,7 @@ class TestSubcommands:
     def test_convergence_space_csv(self, tmp_path):
         cfg = RunConfig(spatial_ns=(4, 8), alphas=(0.5,),
                         out_dir=tmp_path / "out")
-        reports = cmd_convergence_space(cfg)
+        reports = cmd_convergence(cfg, space=True)
         assert len(reports) == 1
         header, rows = read_csv(tmp_path / "out" / "convergence_space.csv")
         assert header == ["mesh_kind", "alpha", "n", "h_over_sqrt2", "dt",
@@ -84,14 +84,14 @@ class TestSubcommands:
         # T n^2 = 4.8 rounds to 5 steps: dt = 0.3 / 5, not 1 / n^2
         cfg = RunConfig(spatial_ns=(4,), alphas=(0.5,), final_time=0.3,
                         out_dir=tmp_path / "out")
-        cmd_convergence_space(cfg)
+        cmd_convergence(cfg, space=True)
         _, rows = read_csv(tmp_path / "out" / "convergence_space.csv")
         assert rows[0][4] == f"{0.3 / 5:.5e}"
 
     def test_convergence_time_csv(self, tmp_path):
         cfg = RunConfig(n_steps_list=(4, 8), mesh_n=8, alphas=(0.5,),
                         out_dir=tmp_path / "out")
-        cmd_convergence_time(cfg)
+        cmd_convergence(cfg, space=False)
         header, rows = read_csv(tmp_path / "out" / "convergence_time.csv")
         assert header == ["mesh_kind", "alpha", "n", "n_steps", "dt",
                           "error", "order"]
@@ -102,7 +102,7 @@ class TestSubcommands:
         for sub in ("a", "b"):
             cfg = RunConfig(spatial_ns=(4, 8), alphas=(0.5,),
                             out_dir=tmp_path / sub)
-            cmd_convergence_space(cfg)
+            cmd_convergence(cfg, space=True)
             outs.append((tmp_path / sub / "convergence_space.csv").read_bytes())
         assert outs[0] == outs[1]
 
@@ -165,6 +165,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["single-run", "--mesh-n", "8", "--steps", "99", "--n", "4",
                   "--n-steps", "2"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flags", [["--steps", "5,10"], ["--mesh-n", "3"]],
+                             ids=["steps", "mesh-n"])
+    def test_ladder_flags_refused_by_convergence_space(self, flags,
+                                                       tmp_path):
+        # the spatial ladder takes its meshes from spatial_ns and its step
+        # counts from dt = h^2/2, so it would ignore these flags; a tiny
+        # ladder, so a command that wrongly runs finishes quickly
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nspatial_ns = 4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence-space", *flags, "--config", str(cfg),
+                  "--out", str(tmp_path)])
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("argv", [

@@ -151,14 +151,14 @@ class TestElastic:
         mat = Material(tau_sigma=1.0, tau_eps=1.0, mu_d=1.0, lambda_d=1.0)
         mesh = build_mesh("tri", 4)
         dofs = build_dof_map(mesh)
-        b = b_form_matrix(mesh, dofs, mat)
+        b = b_form_matrix(mesh, dofs, mat, a_form_matrix(mesh, dofs, mat))
         assert abs(b).max() < 1e-14
 
     def test_b_form_density_scaling(self):
         mesh = build_mesh("quad", 4)
         dofs = build_dof_map(mesh)
-        b1 = b_form_matrix(mesh, dofs, Material(rho=1.0))
-        b2 = b_form_matrix(mesh, dofs, Material(rho=2.0))
+        b1, b2 = (b_form_matrix(mesh, dofs, m, a_form_matrix(mesh, dofs, m))
+                  for m in (Material(rho=1.0), Material(rho=2.0)))
         assert abs(b1 - 2.0 * b2).max() < 1e-14
 
     def test_load_consistent_with_matrix_on_fe_field(self):

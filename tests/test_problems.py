@@ -188,7 +188,7 @@ class TestLoads:
             dofs = build_dof_map(mesh)
             a = a_form_matrix(mesh, dofs, mat)
             m = assemble_mass(mesh, dofs)
-            b = b_form_matrix(mesh, dofs, mat)
+            b = b_form_matrix(mesh, dofs, mat, a)
             rh = ritz_project(mesh, dofs, a, mat, prob.spatial_gradient)
             pre = precompute_loads(mesh, dofs, prob)
             r = gp * (m @ rh - pre.p_mass) - it * (b @ rh - pre.p_b)
@@ -215,7 +215,7 @@ class TestPerMeshBundle:
         pre = precompute_loads(mesh, dofs, prob)
         a = a_form_matrix(mesh, dofs, mat)
         for got, want in ((pre.a_mat, a), (pre.mass, assemble_mass(mesh, dofs)),
-                          (pre.b_mat, b_form_matrix(mesh, dofs, mat))):
+                          (pre.b_mat, b_form_matrix(mesh, dofs, mat, a))):
             assert (got != want).nnz == 0
         v0 = ritz_project(mesh, dofs, a, mat, prob.spatial_gradient)
         assert np.array_equal(pre.v0, v0)

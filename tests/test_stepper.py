@@ -130,6 +130,7 @@ class TestHistoryContract:
             w = direct_weights(Material(), dt, n_max)
             hist = DirectHistory(w, n_dofs)
             assert hist.nbytes == n_max * n_dofs * 8
+        assert np.array_equal(hist.total(), np.zeros(n_dofs))
         v = np.random.default_rng(13).standard_normal((n_max, n_dofs))
         for n in range(1, n_max + 1):
             hist.advance(v[n - 1])
