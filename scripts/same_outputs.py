@@ -17,7 +17,9 @@ The cases are the CLI ladders, bench, single-run, soe-table, and the final
 L2 errors (printed with repr, so bit for bit) of the full-size runs of each
 benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
 way ``perfbench/workloads.py`` runs them.  Prints one IDENTICAL or
-DIFFERENT line per case; exits 1 on any difference or failed run.
+DIFFERENT line per case, a DIFFERENT pinned case with the largest relative
+change of its errors, max |after/before - 1|; exits 1 on any difference or
+failed run.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ def run_case(src: Path, source: str, argv: list[str]) -> dict[str, bytes]:
     return outputs
 
 
+def _drift(before: bytes, after: bytes) -> float:
+    """Largest |after / before - 1| over the errors of a pinned case."""
+    old, new = (dict(line.split() for line in out.decode().splitlines())
+                for out in (before, after))
+    return max(abs(float(new[key]) / float(old[key]) - 1.0) for key in old)
+
+
 def check_tree(src: Path) -> None:
     """Fail unless PYTHONPATH=src imports fracvisco from src itself."""
     proc = subprocess.run(
@@ -157,6 +166,9 @@ def main(argv: list[str]) -> int:
             continue
         diff = sorted(k for k in before.keys() | after.keys()
                       if before.get(k) != after.get(k))
+        if diff and name.startswith("pinned"):
+            diff.append(f"max |after/before - 1| = "
+                        f"{_drift(before['stdout'], after['stdout']):.2e}")
         print(f"{'IDENTICAL' if not diff else 'DIFFERENT':10s} {name}"
               + (f" ({', '.join(diff)})" if diff else ""), flush=True)
         same = same and not diff

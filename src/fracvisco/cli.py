@@ -72,11 +72,11 @@ class RunConfig:
         raise ValueError(f"unknown eps rule {self.eps_rule!r}")
 
 
-def _orders(errors: list[float]) -> list[float | None]:
-    out: list[float | None] = [None]
-    for prev, cur in zip(errors, errors[1:]):
-        out.append(math.log2(prev / cur))
-    return out
+def _orders(levels: list[int], errors: list[float]) -> list[float | None]:
+    """Observed order between consecutive levels (cells per side or step
+    counts): log(e_prev / e_cur) / log(k_cur / k_prev)."""
+    return [None] + [math.log2(e0 / e1) / math.log2(k1 / k0) for k0, k1, e0, e1
+                     in zip(levels, levels[1:], errors, errors[1:])]
 
 
 def _fmt(x: float) -> str:
@@ -209,7 +209,8 @@ def cmd_convergence(cfg: RunConfig, space: bool) -> list[str]:
         pres = {n: precompute_loads(*md, problem) for n, md in meshes.items()}
         errors = [_solve(cfg, problem, *meshes[n], cfg.scheme, n_steps,
                          pre=pres[n])["error"] for n, n_steps in levels]
-        orders = _orders(errors)
+        orders = _orders([n if space else n_steps for n, n_steps in levels],
+                         errors)
         tables.append(_ladder_table(
             f"{label} {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
             [1.0 / n if space else cfg.final_time / n_steps

@@ -4,8 +4,14 @@ Degrees of freedom are the two displacement components at interior vertices
 (homogeneous Dirichlet data is eliminated, keeping system matrices SPD);
 local dof 2a+i is component i of local vertex a.  Because the meshes are
 uniform, every cell of a given class (lower triangle, upper triangle, or
-square) is a translate of a representative cell, so element matrices are
-computed once per class and scattered.
+square) is a translate of a representative cell, so its operator tables are
+computed once per class.  Each cell kind has one quadrature rule, exact for
+every P1/Q1 matrix: degree 4 on triangles, 3 x 3 Gauss on squares.  At its
+points the tables hold the basis fields (``values``) and their Voigt strains
+(``strains``).  Every matrix is sum_q w_q B^T D B and every load
+sum_q w_q (D f)^T B, with B one table and D the identity (mass) or the Voigt
+elasticity tensor; eliminated dofs scatter into an extra slot that is
+dropped.
 
 Assembled matrices are scipy CSR; the mass matrix and the a-form matrix are
 SPD, the b-form matrix is symmetric but may be indefinite or zero.  Interior
@@ -69,153 +75,140 @@ class DofMap:
     n_dofs: int
 
 
-def build_dof_map(mesh: Mesh, dirichlet: bool = True) -> DofMap:
-    nv = mesh.vertices.shape[0]
-    vdof = np.full(nv, -1, dtype=int)
-    free = ~mesh.boundary_vertex if dirichlet else np.ones(nv, dtype=bool)
+def build_dof_map(mesh: Mesh) -> DofMap:
+    free = ~mesh.boundary_vertex
+    vdof = np.full(free.shape[0], -1, dtype=int)
     vdof[free] = np.arange(free.sum())
     return DofMap(vertex_dof=vdof, n_dofs=2 * int(free.sum()))
 
 
 # ---------------------------------------------------------------------------
-# quadrature + per-class basis tables
-
-_TRI_DEG2 = (np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]),
-             np.full(3, 1.0 / 6.0))
+# one quadrature rule per cell kind + per-class operator tables
 
 _A1, _W1 = 0.445948490915965, 0.223381589678011
 _A2, _W2 = 0.091576213509771, 0.109951743655322
-_TRI_DEG4 = (np.array([[_A1, _A1], [1 - 2 * _A1, _A1], [_A1, 1 - 2 * _A1],
+_TRI_RULE = (np.array([[_A1, _A1], [1 - 2 * _A1, _A1], [_A1, 1 - 2 * _A1],
                        [_A2, _A2], [1 - 2 * _A2, _A2], [_A2, 1 - 2 * _A2]]),
              np.array([_W1, _W1, _W1, _W2, _W2, _W2]) / 2.0)
 
 
-def _gauss01(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _gauss_square() -> tuple[np.ndarray, np.ndarray]:
+    """3 x 3 Gauss rule on the unit square."""
+    x, w = np.polynomial.legendre.leggauss(3)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    return np.array([[a, b] for a in x for b in x]), np.outer(w, w).ravel()
 
 
-def _quad_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gauss01(npts)
-    xi, eta = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([xi.ravel(), eta.ravel()])
-    ww = np.outer(w, w).ravel()
-    return pts, ww
+_SQUARE_RULE = _gauss_square()
 
 
 class _CellClass:
-    """Basis values/gradients at quadrature points for one translate class.
+    """Operator tables at the quadrature points of one translate class.
 
     offsets: physical quadrature positions relative to local vertex 0;
-    weights: physical measures (|det J| folded in); grads: physical basis
-    gradients, constant across the class.
+    weights: physical measures (|det J| folded in); values[q] (2, 2k): the
+    fields of the 2k vector basis functions; strains[q] (3, 2k): their Voigt
+    strains (e_xx, e_yy, 2 e_xy).
     """
 
-    def __init__(self, corners: np.ndarray, ref_pts: np.ndarray,
-                 ref_w: np.ndarray, simplex: bool):
-        k = corners.shape[0]
+    def __init__(self, corners: np.ndarray, simplex: bool):
+        pts, w = _TRI_RULE if simplex else _SQUARE_RULE
         if simplex:
             jac = np.column_stack([corners[1] - corners[0],
                                    corners[2] - corners[0]])
-            det = abs(np.linalg.det(jac))
-            lam = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])
-            self.basis = lam                                    # (nq, 3)
+            basis = np.column_stack([1.0 - pts.sum(axis=1), pts])   # (nq, 3)
             ref_grad = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-            phys_grad = ref_grad @ np.linalg.inv(jac)           # (3, 2)
-            self.grads = np.broadcast_to(phys_grad, (ref_pts.shape[0], k, 2)).copy()
-            self.offsets = ref_pts @ jac.T                      # relative to corner 0
-            self.weights = ref_w * det
+            gx, gy = (ref_grad @ np.linalg.inv(jac)).T              # (3,) each
+            self.offsets = pts @ jac.T
+            self.weights = w * abs(np.linalg.det(jac))
         else:
             s = corners[1, 0] - corners[0, 0]  # axis-aligned square side
-            xi, eta = ref_pts[:, 0], ref_pts[:, 1]
-            self.basis = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
-                                          xi * eta, (1 - xi) * eta])
+            xi, eta = pts[:, 0], pts[:, 1]
+            basis = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
+                                     xi * eta, (1 - xi) * eta])
             gx = np.column_stack([-(1 - eta), (1 - eta), eta, -eta]) / s
             gy = np.column_stack([-(1 - xi), -xi, xi, (1 - xi)]) / s
-            self.grads = np.stack([gx, gy], axis=-1)            # (nq, 4, 2)
-            self.offsets = ref_pts * s
-            self.weights = ref_w * s * s
+            self.offsets = pts * s
+            self.weights = w * s * s
+        nq, k = basis.shape
+        self.values = np.zeros((nq, 2, 2 * k))
+        self.values[:, 0, 0::2] = self.values[:, 1, 1::2] = basis
+        self.strains = np.zeros((nq, 3, 2 * k))
+        self.strains[:, 0, 0::2] = self.strains[:, 2, 1::2] = gx
+        self.strains[:, 1, 1::2] = self.strains[:, 2, 0::2] = gy
 
 
-def _classes(mesh: Mesh, order4: bool) -> list[tuple[np.ndarray, _CellClass]]:
-    """(cell index array, class table) pairs covering all cells."""
+def _classes(mesh: Mesh, dofs: DofMap):
+    """Yield (class tables, (n_cells, 2k) interleaved element dofs,
+    (n_cells, nq, 2) physical quadrature points) per translate class.
+    Eliminated dofs point at the extra slot n_dofs."""
     s = mesh.spacing
+    ids = np.arange(mesh.cells.shape[0])
     if mesh.kind is MeshKind.TRIANGULAR:
-        pts, w = _TRI_DEG4 if order4 else _TRI_DEG2
         lower = np.array([[0.0, 0.0], [s, 0.0], [s, s]])
         upper = np.array([[0.0, 0.0], [s, s], [0.0, s]])
-        ids = np.arange(mesh.cells.shape[0])
-        return [(ids[0::2], _CellClass(lower, pts, w, True)),
-                (ids[1::2], _CellClass(upper, pts, w, True))]
-    pts, w = _quad_rule(3 if order4 else 2)
-    square = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-    return [(np.arange(mesh.cells.shape[0]), _CellClass(square, pts, w, False))]
+        classes = [(ids[0::2], _CellClass(lower, True)),
+                   (ids[1::2], _CellClass(upper, True))]
+    else:
+        square = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
+        classes = [(ids, _CellClass(square, False))]
+    for cell_ids, cls in classes:
+        vd = dofs.vertex_dof[mesh.cells[cell_ids]][..., None]       # (nc, k, 1)
+        ed = np.where(vd >= 0, 2 * vd + np.arange(2), dofs.n_dofs)
+        origins = mesh.vertices[mesh.cells[cell_ids, 0]]
+        yield cls, ed.reshape(len(cell_ids), -1), origins[:, None] + cls.offsets
 
 
-def _element_dofs(mesh: Mesh, dofs: DofMap, cell_ids: np.ndarray) -> np.ndarray:
-    """(n_cells, 2k) interleaved global dofs, -1 for eliminated entries."""
-    vd = dofs.vertex_dof[mesh.cells[cell_ids]]      # (nc, k)
-    ed = np.empty((vd.shape[0], 2 * vd.shape[1]), dtype=int)
-    ed[:, 0::2] = np.where(vd >= 0, 2 * vd, -1)
-    ed[:, 1::2] = np.where(vd >= 0, 2 * vd + 1, -1)
-    return ed
+def _elastic_tensor(mu: float, lam: float) -> np.ndarray:
+    """Voigt matrix of 2 mu eps:eps + lam (div)^2 on (e_xx, e_yy, 2 e_xy)."""
+    return np.array([[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0],
+                     [0.0, 0.0, mu]])
 
 
-def _scatter_matrix(mesh: Mesh, dofs: DofMap, emat_of_class) -> sp.csr_matrix:
+def _matrix(mesh: Mesh, dofs: DofMap, table: str,
+            tensor: np.ndarray) -> sp.csr_matrix:
+    """Sum over cells of sum_q w_q B_q^T D B_q, with B the class's `table`
+    ("values" or "strains") and D = tensor."""
+    n = dofs.n_dofs
     rows, cols, data = [], [], []
-    for cell_ids, cls in _classes(mesh, order4=False):
-        emat = emat_of_class(cls)                   # (2k, 2k)
-        ed = _element_dofs(mesh, dofs, cell_ids)
+    for cls, ed, _ in _classes(mesh, dofs):
+        b = getattr(cls, table)
+        # correctly rounded sums over q keep mirror-image entries exact
+        # negatives, so entries whose integrals cancel across cells stay 0
+        emat = np.apply_along_axis(math.fsum, -1, np.einsum(
+            "q,qri,rs,qsj->ijq", cls.weights, b, tensor, b))
         nc, m = ed.shape
-        r = np.repeat(ed, m, axis=1).ravel()
-        c = np.tile(ed, (1, m)).ravel()
-        d = np.broadcast_to(emat.ravel(), (nc, m * m)).ravel()
-        keep = (r >= 0) & (c >= 0)
-        rows.append(r[keep])
-        cols.append(c[keep])
-        data.append(d[keep])
+        rows.append(np.repeat(ed, m, axis=1).ravel())
+        cols.append(np.tile(ed, (1, m)).ravel())
+        data.append(np.broadcast_to(emat.ravel(), (nc, m * m)).ravel())
     mat = sp.coo_matrix((np.concatenate(data),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(dofs.n_dofs, dofs.n_dofs)).tocsr()
-    mat.sum_duplicates()
-    return mat
+                        shape=(n + 1, n + 1)).tocsr()
+    return mat[:n, :n]
 
 
-def _mass_emat(cls: _CellClass) -> np.ndarray:
-    k = cls.basis.shape[1]
-    m_scalar = np.einsum("q,qa,qb->ab", cls.weights, cls.basis, cls.basis)
-    emat = np.zeros((2 * k, 2 * k))
-    emat[0::2, 0::2] = m_scalar
-    emat[1::2, 1::2] = m_scalar
-    return emat
-
-
-def _elastic_emat(cls: _CellClass, mu: float, lam: float, scale: float) -> np.ndarray:
-    k = cls.grads.shape[1]
-    emat = np.zeros((2 * k, 2 * k))
-    for q, w in enumerate(cls.weights):
-        g = cls.grads[q]                            # (k, 2)
-        dot = g @ g.T                               # (k, k)
-        for i in range(2):
-            for j in range(2):
-                blk = lam * np.outer(g[:, i], g[:, j]) \
-                    + mu * np.outer(g[:, j], g[:, i])
-                if i == j:
-                    blk = blk + mu * dot
-                emat[i::2, j::2] += w * blk
-    return scale * emat
+def _load(mesh: Mesh, dofs: DofMap, table: str, tensor: np.ndarray,
+          field) -> np.ndarray:
+    """Vector with entries int (D f) . B phi_i for an analytic f(x, y), with
+    B phi_i the basis function's row of `table` ("values" or "strains")."""
+    p = np.zeros(dofs.n_dofs + 1)
+    for cls, ed, xq in _classes(mesh, dofs):
+        f = np.asarray(field(xq[..., 0], xq[..., 1])) @ tensor   # (nc, nq, r)
+        contrib = np.einsum("q,cqr,qrj->cj", cls.weights, f,
+                            getattr(cls, table), optimize=True)
+        p += np.bincount(ed.ravel(), contrib.ravel(), minlength=p.size)
+    return p[:-1]
 
 
 def assemble_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Vector mass matrix M_ij = int phi_i . phi_j (exact quadrature)."""
-    return _scatter_matrix(mesh, dofs, _mass_emat)
+    return _matrix(mesh, dofs, "values", np.eye(2))
 
 
 def assemble_elastic(mesh: Mesh, dofs: DofMap, mu: float, lam: float,
                      scale: float = 1.0) -> sp.csr_matrix:
     """Elasticity form scale * int [2 mu eps(u):eps(v) + lam div u div v]."""
-    return _scatter_matrix(mesh, dofs,
-                           lambda cls: _elastic_emat(cls, mu, lam, scale))
+    return _matrix(mesh, dofs, "strains", scale * _elastic_tensor(mu, lam))
 
 
 def a_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material) -> sp.csr_matrix:
@@ -231,28 +224,9 @@ def b_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material,
     return (a_mat - (mat.ratio_alpha / mat.rho) * kd).tocsr()
 
 
-# ---------------------------------------------------------------------------
-# right-hand sides and error norms: one walk over the order-4 quadrature
-# points, one integrand each; eliminated dofs (-1) use an extra last slot
-
-def _order4_points(mesh: Mesh, dofs: DofMap):
-    """Yield (element dofs, class, q, weight, (n_cells, 2) physical points)
-    for every order-4 quadrature point q of every cell class."""
-    for cell_ids, cls in _classes(mesh, order4=True):
-        ed = _element_dofs(mesh, dofs, cell_ids)
-        origins = mesh.vertices[mesh.cells[cell_ids, 0]]
-        for q, w in enumerate(cls.weights):
-            yield ed, cls, q, w, origins + cls.offsets[q]
-
-
 def mass_load(mesh: Mesh, dofs: DofMap, value_fn) -> np.ndarray:
     """Vector with entries <V, phi_i> for an analytic field V(x, y)."""
-    p = np.zeros(dofs.n_dofs + 1)
-    for ed, cls, q, w, xq in _order4_points(mesh, dofs):
-        vals = np.asarray(value_fn(xq[:, 0], xq[:, 1]))    # (nc, 2)
-        contrib = w * np.einsum("a,ci->cai", cls.basis[q], vals)
-        np.add.at(p, ed.ravel(), contrib.ravel())
-    return p[:-1]
+    return _load(mesh, dofs, "values", np.eye(2), value_fn)
 
 
 def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn, mu: float, lam: float,
@@ -261,29 +235,23 @@ def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn, mu: float, lam: float,
 
     grad_fn(x, y) returns G with G[..., k, l] = d V_k / d x_l.
     """
-    p = np.zeros(dofs.n_dofs + 1)
-    for ed, cls, q, w, xq in _order4_points(mesh, dofs):
-        g_v = np.asarray(grad_fn(xq[:, 0], xq[:, 1]))     # (nc, 2, 2)
-        sym = g_v + np.swapaxes(g_v, -1, -2)
-        div = np.trace(g_v, axis1=-2, axis2=-1)
-        gb = cls.grads[q]                                 # (k, 2)
-        # component i of the (a, i) entry: mu*(sym @ g_a)_i + lam*div*g_a_i
-        contrib = (mu * np.einsum("cil,al->cai", sym, gb)
-                   + lam * np.einsum("c,ai->cai", div, gb))
-        np.add.at(p, ed.ravel(), ((w * scale) * contrib).ravel())
-    return p[:-1]
+    def strain(x, y):
+        g = np.asarray(grad_fn(x, y))
+        return np.stack([g[..., 0, 0], g[..., 1, 1],
+                         g[..., 0, 1] + g[..., 1, 0]], axis=-1)
+
+    return _load(mesh, dofs, "strains", scale * _elastic_tensor(mu, lam),
+                 strain)
 
 
 def l2_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray, exact) -> float:
-    """L2 norm of (FE field - exact) with the order-4 element rules."""
+    """L2 norm of (FE field - exact) with the element quadrature rules."""
     total = 0.0
     padded = np.append(coeffs, 0.0)
-    for ed, cls, q, w, xq in _order4_points(mesh, dofs):
-        vals = padded[ed]                                   # (nc, 2k)
-        uh = np.stack([vals[:, 0::2] @ cls.basis[q],
-                       vals[:, 1::2] @ cls.basis[q]], axis=-1)
-        diff = uh - np.asarray(exact(xq[:, 0], xq[:, 1]))
-        total += w * float(np.sum(diff * diff))
+    for cls, ed, xq in _classes(mesh, dofs):
+        diff = (np.einsum("qij,cj->cqi", cls.values, padded[ed], optimize=True)
+                - np.asarray(exact(xq[..., 0], xq[..., 1])))
+        total += float(np.sum(cls.weights[:, None] * diff * diff))
     return math.sqrt(total)
 
 

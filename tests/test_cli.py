@@ -30,7 +30,7 @@ class TestRunConfig:
 
 class TestOrders:
     def test_halving_gives_order_one(self):
-        orders = _orders([0.4, 0.2, 0.1])
+        orders = _orders([4, 8, 16], [0.4, 0.2, 0.1])
         assert orders[0] is None
         assert orders[1] == pytest.approx(1.0)
         assert orders[2] == pytest.approx(1.0)
@@ -96,6 +96,16 @@ class TestSubcommands:
         assert header == ["mesh_kind", "alpha", "n", "n_steps", "dt",
                           "error", "order"]
         assert [r[3] for r in rows] == ["4", "8"]
+
+    def test_convergence_time_order_uses_the_level_ratio(self, tmp_path):
+        # N = 5 -> 15 triples the step count, so the order is log base 3
+        cfg = RunConfig(n_steps_list=(5, 15), mesh_n=4, alphas=(0.5,),
+                        out_dir=tmp_path / "out")
+        cmd_convergence(cfg, space=False)
+        _, rows = read_csv(tmp_path / "out" / "convergence_time.csv")
+        e1, e2 = float(rows[0][5]), float(rows[1][5])
+        assert float(rows[1][6]) == pytest.approx(
+            np.log(e1 / e2) / np.log(3.0), rel=1e-4)
 
     def test_convergence_space_deterministic(self, tmp_path):
         outs = []

@@ -8,12 +8,18 @@ import pytest
 import scipy.sparse as sp
 
 from fracvisco.errors import BudgetExceeded, SolveFailure
-from fracvisco.fem import (Material, a_form_matrix, assemble_elastic,
+from fracvisco.fem import (DofMap, Material, a_form_matrix, assemble_elastic,
                            assemble_mass, b_form_matrix, build_dof_map,
                            elastic_load, l2_error, mass_load, ritz_project,
                            spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.problems import _field_ex61, _grad_ex61
+
+
+def full_dof_map(mesh):
+    """Dofs on every vertex, boundary included."""
+    nv = mesh.vertices.shape[0]
+    return DofMap(np.arange(nv), 2 * nv)
 
 
 def interpolate(mesh, dofs, field):
@@ -63,18 +69,13 @@ class TestDofMap:
         assert dofs.n_dofs == 2 * 7 * 7
         assert np.all(dofs.vertex_dof[mesh.boundary_vertex] == -1)
 
-    def test_full_counts(self):
-        mesh = build_mesh("tri", 4)
-        dofs = build_dof_map(mesh, dirichlet=False)
-        assert dofs.n_dofs == 2 * 25
-
 
 class TestMass:
     @pytest.mark.parametrize("kind", ["tri", "quad"])
     def test_total_mass_is_two(self, kind):
         # sum_ij M_ij = int |(1,1)|^2 = 2 * area of the unit square
         mesh = build_mesh(kind, 6)
-        dofs = build_dof_map(mesh, dirichlet=False)
+        dofs = full_dof_map(mesh)
         m = assemble_mass(mesh, dofs)
         ones = np.ones(dofs.n_dofs)
         assert ones @ (m @ ones) == pytest.approx(2.0, abs=1e-12)
@@ -88,7 +89,7 @@ class TestMass:
     def test_p1_element_entries(self):
         # scalar triangle mass block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]]
         mesh = build_mesh("tri", 2)
-        dofs = build_dof_map(mesh, dirichlet=False)
+        dofs = full_dof_map(mesh)
         m = assemble_mass(mesh, dofs).toarray()
         area = 1.0 / 8.0
         # vertex 0 = (0,0) sits in both triangles of its square, so its
@@ -103,7 +104,7 @@ class TestMass:
 
     def test_load_of_constant_integrates_to_area(self):
         mesh = build_mesh("quad", 5)
-        dofs = build_dof_map(mesh, dirichlet=False)
+        dofs = full_dof_map(mesh)
         p = mass_load(mesh, dofs,
                       lambda x, y: np.stack([np.ones_like(x),
                                              np.zeros_like(x)], axis=-1))
@@ -115,7 +116,7 @@ class TestElastic:
     @pytest.mark.parametrize("kind", ["tri", "quad"])
     def test_rigid_motions_have_zero_energy(self, kind):
         mesh = build_mesh(kind, 5)
-        dofs = build_dof_map(mesh, dirichlet=False)
+        dofs = full_dof_map(mesh)
         k = assemble_elastic(mesh, dofs, 1.3, 0.7)
 
         def rotation(x, y):
@@ -126,6 +127,26 @@ class TestElastic:
                       rotation):
             u = interpolate(mesh, dofs, field)
             assert abs(u @ (k @ u)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["tri", "quad"])
+    def test_linear_field_energies(self, kind):
+        # pure shears (y, 0) and (0, x) carry energy mu on the unit square,
+        # pure dilation (x, y) carries 4 mu + 4 lam; a swapped shear row in
+        # the strain table gives 0 for both shears
+        mu, lam = 1.3, 0.7
+        mesh = build_mesh(kind, 4)
+        dofs = full_dof_map(mesh)
+        k = assemble_elastic(mesh, dofs, mu, lam)
+        cases = (([[0.0, 1.0], [0.0, 0.0]], mu), ([[0.0, 0.0], [1.0, 0.0]], mu),
+                 ([[1.0, 0.0], [0.0, 1.0]], 4.0 * mu + 4.0 * lam))
+        for grad, energy in cases:
+            g = np.array(grad)
+            u = interpolate(mesh, dofs, lambda x, y: np.stack([x, y], -1) @ g.T)
+            assert u @ (k @ u) == pytest.approx(energy, rel=1e-12)
+            p = elastic_load(mesh, dofs,
+                             lambda x, y: np.broadcast_to(g, x.shape + (2, 2)),
+                             mu, lam)
+            assert np.allclose(p, k @ u, rtol=0.0, atol=1e-12)
 
     def test_symmetry_and_coercivity(self):
         mesh = build_mesh("quad", 6)
@@ -165,7 +186,7 @@ class TestElastic:
         # a linear field lies in the P1 space, so the analytic load equals
         # the stiffness matrix applied to its interpolant
         mesh = build_mesh("tri", 4)
-        dofs = build_dof_map(mesh, dirichlet=False)
+        dofs = full_dof_map(mesh)
         k = assemble_elastic(mesh, dofs, 1.0, 2.0, scale=0.5)
         u = interpolate(mesh, dofs, linear_field)
         p = elastic_load(mesh, dofs, linear_grad, 1.0, 2.0, scale=0.5)
@@ -175,7 +196,7 @@ class TestElastic:
 class TestErrorNorm:
     def test_exact_for_fe_function(self):
         mesh = build_mesh("tri", 5)
-        dofs = build_dof_map(mesh, dirichlet=False)
+        dofs = full_dof_map(mesh)
         u = interpolate(mesh, dofs, linear_field)
         assert l2_error(mesh, dofs, u, linear_field) < 1e-13
 
