@@ -13,7 +13,8 @@ compared byte for byte, with these exceptions, which are timings:
   stdout fields are masked;
 - bench_time.svg, which plots wall_history, is not compared.
 
-The cases are the CLI ladders, bench, single-run, soe-table, and the final
+The cases are the CLI ladders, bench, single-run (fast, direct, alpha = 1
+and a [material] config), soe-table, and the final
 L2 errors (printed with repr, so bit for bit) of the full-size runs of each
 benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
 way ``perfbench/workloads.py`` runs them.  Prints one IDENTICAL or
@@ -33,7 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMING_COLUMNS = ("wall_total", "wall_history", "wall_solve")
-SPACE_CONFIG = "[run]\nspatial_ns = 4,8,16\nalphas = 0.3,0.8\n"
+#: argv placeholder -> the text of the config file it names
+CONFIGS = {"CONFIG": "[run]\nspatial_ns = 4,8,16\nalphas = 0.3,0.8\n",
+           "MATERIAL": "[material]\nrho = 2.0\ntau_sigma = 0.25\n"
+                       "tau_eps = 0.5\nmu_d = 0.5\n"}
 
 CLI = "import sys\nfrom fracvisco.cli import main\nsys.exit(main(sys.argv[1:]))"
 
@@ -69,7 +73,8 @@ for group in plan(workload):
         print(run.key, repr(err))
 """
 
-# name -> (python source, its argv; OUT and CONFIG are filled per run)
+# name -> (python source, its argv; OUT and the CONFIGS keys are filled
+# per run)
 CASES = {
     "convergence-time quad": (CLI, [
         "convergence-time", "--mesh", "quad", "--mesh-n", "16",
@@ -92,6 +97,13 @@ CASES = {
         "--eps-rule", "fixed:1e-6", "--out", "OUT"]),
     "single-run fast": (CLI, [
         "single-run", "--n", "8", "--n-steps", "32", "--alpha", "0.3"]),
+    "single-run material": (CLI, [
+        "single-run", "--config", "MATERIAL", "--n", "8", "--n-steps", "16"]),
+    "single-run alpha 1": (CLI, [
+        "single-run", "--n", "8", "--n-steps", "32", "--alpha", "1.0"]),
+    "single-run direct": (CLI, [
+        "single-run", "--scheme", "direct", "--alpha", "0.8", "--n", "8",
+        "--n-steps", "32"]),
     "soe-table": (CLI, [
         "soe-table", "--alpha", "0.5", "--eps", "1e-6", "--out", "OUT"]),
     **{f"pinned {w}": (PINNED_RUNS, [str(ROOT / "perfbench"), w])
@@ -112,9 +124,10 @@ def run_case(src: Path, source: str, argv: list[str]) -> dict[str, bytes]:
     """stdout and the output files of one case run against the tree src."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        (work / "config.ini").write_text(SPACE_CONFIG, encoding="utf-8")
+        for key, text in CONFIGS.items():
+            (work / f"{key}.ini").write_text(text, encoding="utf-8")
         args = [str(work / "out") if a == "OUT" else
-                str(work / "config.ini") if a == "CONFIG" else a
+                str(work / f"{a}.ini") if a in CONFIGS else a
                 for a in argv]
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-c", source, *args], cwd=work,

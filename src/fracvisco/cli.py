@@ -19,7 +19,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import FracViscoError
 from .fem import Material, build_dof_map
 from .mesh import MeshKind, build_mesh
 from .problems import conv_factor_grid, exact_error, get_problem, precompute_loads
-from .soe import build_soe, write_table
+from .soe import PANEL_RATIO, build_soe, write_table
 from .stepper import Scheme, run
 
 SPATIAL_LADDER = (4, 8, 16, 32, 64)
@@ -40,29 +40,27 @@ class RunConfig:
     """Experiment configuration; defaults reproduce the reference tables."""
 
     problem: str = "ex61"
-    mesh_kind: MeshKind = MeshKind.QUADRILATERAL
+    mesh: MeshKind = MeshKind.QUADRILATERAL
     alphas: tuple[float, ...] = (0.5,)
     spatial_ns: tuple[int, ...] = SPATIAL_LADDER
-    n_steps_list: tuple[int, ...] = TEMPORAL_LADDER
+    n_steps: tuple[int, ...] = TEMPORAL_LADDER
     mesh_n: int = 64                  # fixed mesh for temporal/bench runs
     scheme: str = "fast"              # fast | direct | both
-    q: float = 10.0
+    q: float = PANEL_RATIO
     eps_rule: str = "dt-over-10"      # or "fixed:<value>"
     final_time: float = 1.0
-    rho: float = 1.0
-    tau_sigma: float = 0.5
-    tau_eps: float = 1.0
-    mu_c: float = 1.0
-    lambda_c: float = 1.0
-    mu_d: float = 1.0
-    lambda_d: float = 2.0
-    out_dir: Path = field(default_factory=lambda: Path("out"))
+    rho: float = Material.rho
+    tau_sigma: float = Material.tau_sigma
+    tau_eps: float = Material.tau_eps
+    mu_c: float = Material.mu_c
+    lambda_c: float = Material.lambda_c
+    mu_d: float = Material.mu_d
+    lambda_d: float = Material.lambda_d
+    out: Path = field(default_factory=lambda: Path("out"))
 
     def material(self, alpha: float) -> Material:
-        return Material(rho=self.rho, tau_sigma=self.tau_sigma,
-                        tau_eps=self.tau_eps, alpha=alpha, mu_c=self.mu_c,
-                        lambda_c=self.lambda_c, mu_d=self.mu_d,
-                        lambda_d=self.lambda_d)
+        return Material(alpha=alpha, **{key: getattr(self, key)
+                                        for key in _KEYS["material"]})
 
     def eps_for(self, dt: float) -> float:
         if self.eps_rule == "dt-over-10":
@@ -165,8 +163,8 @@ def _svg_loglog(path: Path, title: str, xlabel: str, ylabel: str,
 # subcommands
 
 def _mesh(cfg: RunConfig, n: int):
-    """The cfg.mesh_kind mesh of n cells per side and its dof map."""
-    mesh = build_mesh(cfg.mesh_kind, n)
+    """The cfg.mesh mesh of n cells per side and its dof map."""
+    mesh = build_mesh(cfg.mesh, n)
     return mesh, build_dof_map(mesh)
 
 
@@ -194,11 +192,11 @@ def _solve(cfg: RunConfig, problem, mesh, dofs, scheme: str, n_steps: int,
 
 def cmd_convergence(cfg: RunConfig, space: bool) -> list[str]:
     """The spatial ladder (each mesh of spatial_ns at dt = h^2/2) or the
-    temporal one (each step count of n_steps_list on the mesh_n mesh): one
+    temporal one (each step count of n_steps on the mesh_n mesh): one
     printed table per alpha, and one CSV of all of them."""
     levels = ([(n, max(1, round(cfg.final_time * n * n)))
                for n in cfg.spatial_ns] if space
-              else [(cfg.mesh_n, n_steps) for n_steps in cfg.n_steps_list])
+              else [(cfg.mesh_n, n_steps) for n_steps in cfg.n_steps])
     label, name, column = (("spatial", "space", "h_over_sqrt2") if space
                            else ("temporal", "time", "n_steps"))
     meshes = {n: _mesh(cfg, n) for n, _ in levels}
@@ -212,15 +210,15 @@ def cmd_convergence(cfg: RunConfig, space: bool) -> list[str]:
         orders = _orders([n if space else n_steps for n, n_steps in levels],
                          errors)
         tables.append(_ladder_table(
-            f"{label} {cfg.problem} {cfg.mesh_kind.value} alpha={alpha}",
+            f"{label} {cfg.problem} {cfg.mesh.value} alpha={alpha}",
             [1.0 / n if space else cfg.final_time / n_steps
              for n, n_steps in levels], errors, orders))
         for (n, n_steps), e, o in zip(levels, errors, orders):
-            rows_csv.append([cfg.mesh_kind.value, _fmt(alpha), str(n),
+            rows_csv.append([cfg.mesh.value, _fmt(alpha), str(n),
                              _fmt(1.0 / n) if space else str(n_steps),
                              _fmt(cfg.final_time / n_steps), _fmt(e),
                              _fmt(o) if o is not None else ""])
-    _write_csv(cfg.out_dir / f"convergence_{name}.csv",
+    _write_csv(cfg.out / f"convergence_{name}.csv",
                ["mesh_kind", "alpha", "n", column, "dt", "error", "order"],
                rows_csv)
     return tables
@@ -236,17 +234,17 @@ def cmd_bench(cfg: RunConfig) -> list[dict]:
     mesh, dofs = _mesh(cfg, cfg.mesh_n)
     pre = precompute_loads(mesh, dofs, problem)
     schemes = list(Scheme) if cfg.scheme == "both" else [Scheme(cfg.scheme)]
-    _solve(cfg, problem, mesh, dofs, schemes[0], min(cfg.n_steps_list),
+    _solve(cfg, problem, mesh, dofs, schemes[0], min(cfg.n_steps),
            pre=pre)
 
     records = []
-    for n_steps in cfg.n_steps_list:
+    for n_steps in cfg.n_steps:
         dt = cfg.final_time / n_steps
         conv = conv_factor_grid(problem.material.alpha, cfg.tau_sigma,
                                 dt * np.arange(1, n_steps + 1))
         records += [_solve(cfg, problem, mesh, dofs, scheme, n_steps,
                            pre=pre, conv=conv) for scheme in schemes]
-    _write_csv(cfg.out_dir / "bench.csv", list(_BENCH_COLUMNS),
+    _write_csv(cfg.out / "bench.csv", list(_BENCH_COLUMNS),
                [[_fmt(r[c]) if isinstance(r[c], float) else str(r[c])
                  for c in _BENCH_COLUMNS] for r in records])
     for quantity, fname, ylab in (("wall_history", "bench_time.svg", "history wall time [s]"),
@@ -259,7 +257,7 @@ def cmd_bench(cfg: RunConfig) -> list[dict]:
                 series.append((scheme.value, np.array([p[0] for p in pts]),
                                np.array([p[1] for p in pts])))
         if series:
-            _svg_loglog(cfg.out_dir / fname,
+            _svg_loglog(cfg.out / fname,
                         f"history cost vs step count ({quantity})",
                         "number of time steps", ylab, series)
     return records
@@ -294,24 +292,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tuple_of(kind):
-    return lambda text: tuple(kind(a) for a in text.split(","))
+    """Parser of comma-separated text, or of an appending flag's list."""
+    return lambda given: tuple(map(kind, given.split(",") if isinstance(
+        given, str) else given))
 
 
-#: [run] key of a config file -> (RunConfig field, parser of its text)
-_RUN_KEYS = {"problem": ("problem", str), "mesh": ("mesh_kind", MeshKind),
-             "alphas": ("alphas", _tuple_of(float)),
-             "spatial_ns": ("spatial_ns", _tuple_of(int)),
-             "n_steps": ("n_steps_list", _tuple_of(int)),
-             "mesh_n": ("mesh_n", int), "scheme": ("scheme", str),
-             "q": ("q", float), "eps_rule": ("eps_rule", str),
-             "final_time": ("final_time", float), "out": ("out_dir", Path)}
-#: [material] key of a config file -> (RunConfig field, parser)
-_MATERIAL_KEYS = {k: (k, float) for k in ("rho", "tau_sigma", "tau_eps", "mu_c",
-                                          "lambda_c", "mu_d", "lambda_d")}
-#: flag dest -> (RunConfig field, parser); --alpha arrives as floats
-_FLAG_KEYS = {**{k: _RUN_KEYS[k] for k in ("problem", "mesh", "mesh_n",
-                                           "scheme", "eps_rule", "out")},
-              "alpha": ("alphas", tuple), "steps": _RUN_KEYS["n_steps"]}
+#: config-file section -> key -> parser of its text; each key is the
+#: RunConfig field it sets, and the run keys are also the flag dests
+_KEYS = {"run": {"problem": str, "mesh": MeshKind, "alphas": _tuple_of(float),
+                 "spatial_ns": _tuple_of(int), "n_steps": _tuple_of(int),
+                 "mesh_n": int, "scheme": str, "q": float, "eps_rule": str,
+                 "final_time": float, "out": Path},
+         "material": {f.name: float for f in fields(Material)
+                      if f.name != "alpha"}}
 
 
 def _load_config(path: Path) -> dict:
@@ -319,17 +312,15 @@ def _load_config(path: Path) -> dict:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValueError(f"config file {path} not found or unreadable")
-    known = {"material": _MATERIAL_KEYS, "run": _RUN_KEYS}
     values = {}
     for section in parser.sections() + ["DEFAULT"] * bool(parser.defaults()):
-        if section not in known:
+        if section not in _KEYS:
             raise ValueError(f"config file {path}: unknown section [{section}]")
         for key, text in parser[section].items():
-            if key not in known[section]:
+            if key not in _KEYS[section]:
                 raise ValueError(f"config file {path}: unknown key {key!r} "
                                  f"in section [{section}]")
-            name, parse = known[section][key]
-            values[name] = parse(text)
+            values[key] = _KEYS[section][key](text)
     return values
 
 
@@ -339,28 +330,27 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", type=Path, default=None)
-        sp.add_argument("--problem", choices=("ex61", "ex62"), default=None)
-        sp.add_argument("--mesh", choices=("tri", "quad"), default=None)
-        sp.add_argument("--alpha", type=float, action="append", default=None)
-        sp.add_argument("--out", type=Path, default=None)
-        sp.add_argument("--scheme", choices=("fast", "direct", "both"),
-                        default=None)
-        sp.add_argument("--eps-rule", default=None,
-                        help="dt-over-10 or fixed:<value>")
+        sp.add_argument("--config", type=Path)
+        sp.add_argument("--problem", choices=("ex61", "ex62"))
+        sp.add_argument("--mesh", choices=("tri", "quad"))
+        sp.add_argument("--alpha", type=float, action="append", dest="alphas",
+                        metavar="ALPHA")
+        sp.add_argument("--out", type=Path)
+        sp.add_argument("--scheme", choices=("fast", "direct", "both"))
+        sp.add_argument("--eps-rule", help="dt-over-10 or fixed:<value>")
 
     common(sub.add_parser("convergence-space"))
     for name in ("convergence-time", "bench"):
         ladder_p = sub.add_parser(name)
         common(ladder_p)
-        ladder_p.add_argument("--mesh-n", type=int, default=None)
-        ladder_p.add_argument("--steps", type=str, default=None,
+        ladder_p.add_argument("--mesh-n", type=int)
+        ladder_p.add_argument("--steps", dest="n_steps", metavar="STEPS",
                               help="comma-separated step counts")
 
     soe_p = sub.add_parser("soe-table")
     soe_p.add_argument("--alpha", type=float, required=True)
     soe_p.add_argument("--eps", type=float, required=True)
-    soe_p.add_argument("--q", type=float, default=10.0)
+    soe_p.add_argument("--q", type=float, default=PANEL_RATIO)
     soe_p.add_argument("--t-min", type=float, default=1e-4)
     soe_p.add_argument("--t-max", type=float, default=2.0)
     soe_p.add_argument("--out", type=Path, default=Path("out"))
@@ -368,7 +358,8 @@ def _build_parser() -> _Parser:
     run_p = sub.add_parser("single-run")
     common(run_p)
     run_p.add_argument("--n", type=int, default=16)
-    run_p.add_argument("--n-steps", type=int, default=64)
+    run_p.add_argument("--n-steps", type=int, default=64, dest="steps",
+                       metavar="N_STEPS")
     return p
 
 
@@ -376,10 +367,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
         values.update(_load_config(args.config))
-    for flag, (name, parse) in _FLAG_KEYS.items():
-        given = getattr(args, flag, None)
-        if given is not None:
-            values[name] = parse(given)
+    flags = {key: getattr(args, key, None) for key in _KEYS["run"]}
+    values.update({key: _KEYS["run"][key](given)
+                   for key, given in flags.items() if given is not None})
     cfg = RunConfig(**values)
     cfg.eps_for(1.0)   # validate the eps rule early
     schemes = ("fast", "direct") + (("both",) if args.command == "bench" else ())
@@ -388,12 +378,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                          f"not {cfg.scheme!r}")
     if args.command in ("bench", "single-run") and len(cfg.alphas) > 1:
         raise ValueError(f"{args.command} takes one alpha, got {cfg.alphas}")
-    steps, meshes = (((args.n_steps,), (args.n,))
+    steps, meshes = (((args.steps,), (args.n,))
                      if args.command == "single-run"
-                     else (cfg.n_steps_list, cfg.spatial_ns + (cfg.mesh_n,)))
-    if min(steps) < 1 or min(meshes) < 2 or not cfg.final_time > 0.0:
+                     else (cfg.n_steps, cfg.spatial_ns + (cfg.mesh_n,)))
+    if min(steps) < 1 or min(meshes) < 2 or not 0.0 < cfg.final_time < math.inf:
         raise ValueError(f"step counts must be >= 1, mesh sizes >= 2 and "
-                         f"final_time > 0, got steps {steps}, mesh sizes "
+                         f"0 < final_time < inf, got steps {steps}, mesh sizes "
                          f"{meshes} and final_time {cfg.final_time}")
     return cfg
 
@@ -415,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"err={rec['error']:.5e} hist={rec['wall_history']:.3f}s "
                       f"mem={rec['peak_history_bytes']}B n_exp={rec['n_exp']}")
         elif args.command == "single-run":
-            rec = cmd_single_run(cfg, args.n, args.n_steps)
+            rec = cmd_single_run(cfg, args.n, args.steps)
             lag_dev = ("" if rec["lag_deviation"] is None
                        else f" lag_dev={rec['lag_deviation']:.1e}")
             print(f"{rec['scheme']} n={rec['n']} N={rec['n_steps']} "

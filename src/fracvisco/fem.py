@@ -23,7 +23,7 @@ in dof order, and SPD systems are solved by a LAPACK band Cholesky factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,9 @@ class Material:
     lambda_d: float = 2.0
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
         if self.tau_sigma <= 0.0:

@@ -3,13 +3,12 @@
 Vertices are laid out row-major on a uniform (n+1) x (n+1) grid.  Triangles
 come from splitting every grid square along its lower-left-to-upper-right
 diagonal (uniform direction, so the layout is deterministic).  The mesh
-parameter h is the cell diagonal sqrt(2)/n, matching the "h/sqrt(2)" column
-convention of the convergence tables.
+parameter h is the cell diagonal sqrt(2)/n; the convergence tables report
+h/sqrt(2) = 1/n, the cell spacing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,10 +29,6 @@ class Mesh:
     vertices: np.ndarray      # (n_vertices, 2)
     cells: np.ndarray         # (n_cells, 3 or 4), counterclockwise
     boundary_vertex: np.ndarray  # bool mask
-
-    @property
-    def h(self) -> float:
-        return math.sqrt(2.0) / self.n
 
     @property
     def spacing(self) -> float:

@@ -39,6 +39,8 @@ from scipy.special import exprel
 from .errors import BudgetExceeded, QuadratureFailure
 
 MAX_NODES = 4096
+#: Default ratio q of consecutive panel edges of a built sum.
+PANEL_RATIO = 10.0
 #: Points of the log grid on [t_min, t_max] that certifies a built sum.
 CERTIFY_SAMPLES = 512
 
@@ -88,21 +90,18 @@ def build_panels(q: float, big_k: int, down: int = 0) -> np.ndarray:
         raise ValueError(f"q must exceed 1, got {q}")
     if big_k < 0:
         raise ValueError(f"K must be nonnegative, got {big_k}")
-    return np.array([0.0] + [float(q) ** m for m in range(-down, big_k + 1)])
-
-
-def gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on (-1, 1), exact to degree 2j-1."""
-    if not 1 <= j <= 64:
-        raise ValueError(f"need 1 <= j <= 64, got {j}")
-    return np.polynomial.legendre.leggauss(j)
+    try:
+        return np.array([0.0] + [float(q) ** m
+                                 for m in range(-down, big_k + 1)])
+    except OverflowError:
+        raise ValueError(f"q = {q} overflows q**K at K = {big_k}") from None
 
 
 def _panel_rule(alpha: float, edges: np.ndarray,
                 j: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of j-point Gauss-Legendre on each panel between
     consecutive edges, panel-major."""
-    xi, omega = gauss_legendre(j)
+    xi, omega = np.polynomial.legendre.leggauss(j)
     c_ap, s_ap = math.cos(alpha * math.pi), math.sin(alpha * math.pi)
     pref = s_ap / (alpha * math.pi)
     c = ((edges[:-1] + edges[1:]) / 2.0)[:, None]
@@ -331,6 +330,8 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must be a finite number above 1, got {q}")
     if alpha == 1.0:
         return SoeApprox(alpha, np.ones(1), np.ones(1), eps_certified=0.0)
 

@@ -46,8 +46,8 @@ from .mesh import Mesh
 from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
                        conv_factor_grid, precompute_loads)
-from .soe import (MemoryState, SoeApprox, build_soe, compress_soe,
-                  exp_convolution)
+from .soe import (PANEL_RATIO, MemoryState, SoeApprox, build_soe,
+                  compress_soe, exp_convolution)
 
 HISTORY_BLOCK = 32  # steps per block GEMM of the direct history
 
@@ -153,7 +153,7 @@ def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
 
 def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         n_steps: int, dofs: DofMap | None = None, eps: float | None = None,
-        q: float = 10.0, pre: LoadPrecomputation | None = None,
+        q: float = PANEL_RATIO, pre: LoadPrecomputation | None = None,
         conv_values: np.ndarray | None = None) -> RunResult:
     """Execute a full run and return the final-time coefficients.
 

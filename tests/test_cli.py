@@ -1,13 +1,19 @@
 """Tests for the experiment harness CLI."""
 
+import argparse
+import inspect
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fracvisco.cli import (RunConfig, _load_config, _orders, cmd_convergence,
-                           main)
+from fracvisco.cli import (_KEYS, RunConfig, _build_parser, _load_config,
+                           _orders, cmd_convergence, main)
+from fracvisco.fem import Material
 from fracvisco.mesh import MeshKind
+from fracvisco.soe import PANEL_RATIO
+from fracvisco.stepper import run
 
 
 def read_csv(path):
@@ -26,6 +32,29 @@ class TestRunConfig:
         mat = RunConfig(tau_sigma=0.25).material(0.3)
         assert mat.alpha == 0.3
         assert mat.tau_sigma == 0.25
+
+    def test_defaults_are_written_once(self):
+        assert RunConfig().material(0.5) == Material()
+        assert RunConfig().q == PANEL_RATIO
+        assert inspect.signature(run).parameters["q"].default == PANEL_RATIO
+        assert _build_parser().parse_args(
+            ["soe-table", "--alpha", "0.5", "--eps", "1e-3"]).q == PANEL_RATIO
+
+    def test_one_name_per_setting(self):
+        # each config key is the RunConfig field it sets, and each flag of
+        # an experiment subcommand sets the field of its run key
+        names = {f.name for f in fields(RunConfig)}
+        assert set(_KEYS["run"]) | set(_KEYS["material"]) <= names
+        assert set(_KEYS["material"]) == {
+            f.name for f in fields(Material)} - {"alpha"}
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("convergence-space", "convergence-time", "bench",
+                        "single-run"):
+            own = {"help", "config"} | ({"n", "steps"}
+                                        if command == "single-run" else set())
+            dests = {a.dest for a in sub.choices[command]._actions}
+            assert dests - own <= set(_KEYS["run"]), command
 
 
 class TestOrders:
@@ -47,9 +76,9 @@ class TestConfigFile:
         assert values["rho"] == 2.0
         assert values["tau_sigma"] == 0.25
         assert values["problem"] == "ex62"
-        assert values["mesh_kind"] is MeshKind.TRIANGULAR
+        assert values["mesh"] is MeshKind.TRIANGULAR
         assert values["alphas"] == (0.3, 0.8)
-        assert values["n_steps_list"] == (4, 8)
+        assert values["n_steps"] == (4, 8)
         assert values["mesh_n"] == 12
         assert values["eps_rule"] == "fixed:1e-4"
 
@@ -70,7 +99,7 @@ class TestConfigFile:
 class TestSubcommands:
     def test_convergence_space_csv(self, tmp_path):
         cfg = RunConfig(spatial_ns=(4, 8), alphas=(0.5,),
-                        out_dir=tmp_path / "out")
+                        out=tmp_path / "out")
         reports = cmd_convergence(cfg, space=True)
         assert len(reports) == 1
         header, rows = read_csv(tmp_path / "out" / "convergence_space.csv")
@@ -83,14 +112,14 @@ class TestSubcommands:
     def test_convergence_space_dt_is_the_step_used(self, tmp_path):
         # T n^2 = 4.8 rounds to 5 steps: dt = 0.3 / 5, not 1 / n^2
         cfg = RunConfig(spatial_ns=(4,), alphas=(0.5,), final_time=0.3,
-                        out_dir=tmp_path / "out")
+                        out=tmp_path / "out")
         cmd_convergence(cfg, space=True)
         _, rows = read_csv(tmp_path / "out" / "convergence_space.csv")
         assert rows[0][4] == f"{0.3 / 5:.5e}"
 
     def test_convergence_time_csv(self, tmp_path):
-        cfg = RunConfig(n_steps_list=(4, 8), mesh_n=8, alphas=(0.5,),
-                        out_dir=tmp_path / "out")
+        cfg = RunConfig(n_steps=(4, 8), mesh_n=8, alphas=(0.5,),
+                        out=tmp_path / "out")
         cmd_convergence(cfg, space=False)
         header, rows = read_csv(tmp_path / "out" / "convergence_time.csv")
         assert header == ["mesh_kind", "alpha", "n", "n_steps", "dt",
@@ -99,8 +128,8 @@ class TestSubcommands:
 
     def test_convergence_time_order_uses_the_level_ratio(self, tmp_path):
         # N = 5 -> 15 triples the step count, so the order is log base 3
-        cfg = RunConfig(n_steps_list=(5, 15), mesh_n=4, alphas=(0.5,),
-                        out_dir=tmp_path / "out")
+        cfg = RunConfig(n_steps=(5, 15), mesh_n=4, alphas=(0.5,),
+                        out=tmp_path / "out")
         cmd_convergence(cfg, space=False)
         _, rows = read_csv(tmp_path / "out" / "convergence_time.csv")
         e1, e2 = float(rows[0][5]), float(rows[1][5])
@@ -111,7 +140,7 @@ class TestSubcommands:
         outs = []
         for sub in ("a", "b"):
             cfg = RunConfig(spatial_ns=(4, 8), alphas=(0.5,),
-                            out_dir=tmp_path / sub)
+                            out=tmp_path / sub)
             cmd_convergence(cfg, space=True)
             outs.append((tmp_path / sub / "convergence_space.csv").read_bytes())
         assert outs[0] == outs[1]
@@ -156,6 +185,13 @@ class TestSubcommands:
 class TestExitCodes:
     def test_invalid_alpha_soe(self):
         assert main(["soe-table", "--alpha", "1.5", "--eps", "1e-3"]) == 1
+
+    @pytest.mark.parametrize("q", ["1", "1e308", "nan", "inf"])
+    def test_bad_q_soe(self, q, tmp_path, capsys):
+        assert main(["soe-table", "--alpha", "0.5", "--eps", "1e-3",
+                     "--q", q, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: q ") and err.count("\n") == 1
 
     def test_invalid_eps_rule(self, tmp_path):
         assert main(["single-run", "--eps-rule", "nope", "--n", "4",
@@ -224,8 +260,15 @@ class TestExitCodes:
         ("[DEFAULT]\nrho = 2.0\n", "unknown section [DEFAULT]"),
         ("[run]\nfinal_time = 0\n", "final_time 0.0"),
         ("[run]\nfinal_time = -1\n", "final_time -1.0"),
+        ("[run]\nfinal_time = inf\n", "final_time inf"),
+        ("[material]\nrho = nan\n", "rho must be finite, got nan"),
+        ("[material]\ntau_sigma = nan\n", "tau_sigma must be finite, got nan"),
+        ("[material]\nrho = inf\n", "rho must be finite, got inf"),
+        ("[material]\ntau_sigma = inf\n", "tau_sigma must be finite, got inf"),
+        ("[run]\nq = 1\n", "q must be a finite number above 1, got 1.0"),
     ], ids=["run-key", "material-key", "section", "default-section",
-            "final-time-zero", "final-time-negative"])
+            "final-time-zero", "final-time-negative", "final-time-inf",
+            "rho-nan", "tau-sigma-nan", "rho-inf", "tau-sigma-inf", "q-one"])
     def test_bad_config_is_a_usage_error(self, text, named, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)

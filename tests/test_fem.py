@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestMaterial:
 
     def test_alpha_one_allowed(self):
         assert Material(alpha=1.0).ratio_alpha == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(Material)])
+    def test_non_finite_field_refused(self, name, value):
+        # nan passes every "<= 0" test, and inf passes most of them
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Material(**{name: value})
 
 
 class TestDofMap:

@@ -13,7 +13,7 @@ from fracvisco.mlf import kernel_beta, ml_integral
 from fracvisco.soe import (CERTIFY_SAMPLES, COMPRESS_RTOL, SoeApprox,
                            _engine_rules, _panel_rule, build_panels, build_soe,
                            certify_soe, compress_soe, engine_kernel, eval_soe,
-                           gauss_legendre, theta_weights, write_table)
+                           theta_weights, write_table)
 
 
 class TestPanels:
@@ -36,30 +36,10 @@ class TestPanels:
         with pytest.raises(ValueError):
             build_panels(10.0, -1)
 
-
-class TestGaussLegendre:
-    def test_one_point_is_midpoint(self):
-        x, w = gauss_legendre(1)
-        assert x[0] == pytest.approx(0.0, abs=1e-15)
-        assert w[0] == pytest.approx(2.0)
-
-    def test_two_point_nodes(self):
-        x, w = gauss_legendre(2)
-        assert np.allclose(np.sort(x), [-1 / math.sqrt(3), 1 / math.sqrt(3)])
-        assert np.allclose(w, [1.0, 1.0])
-
-    def test_degree_exactness(self):
-        # J points integrate monomials up to degree 2J-1 exactly
-        x, w = gauss_legendre(5)
-        for deg in range(10):
-            exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
-            assert w @ x ** deg == pytest.approx(exact, abs=1e-14)
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)
-        with pytest.raises(ValueError):
-            gauss_legendre(65)
+    def test_overflowing_edge_names_q_and_k(self):
+        with pytest.raises(ValueError,
+                           match=r"^q = 1e\+308 overflows q\*\*K at K = 2$"):
+            build_panels(1e308, 2)
 
 
 class TestAssemble:
@@ -184,6 +164,17 @@ class TestBuildAndCertify:
         # the panel edges as Python ints
         with pytest.raises(BudgetExceeded):
             build_soe(alpha, 1e-8, 10, 1e-4, 2.0)
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, math.nan, math.inf])
+    def test_q_must_be_finite_above_one(self, q):
+        # q = 1 divided by log(q) = 0; nan and inf went on to fail later
+        with pytest.raises(ValueError, match="^q must be a finite number "
+                                             "above 1, got"):
+            build_soe(0.5, 1e-3, q, 1e-2, 2.0)
+
+    def test_overflowing_q_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^q = 1e\+308 overflows"):
+            build_soe(0.5, 1e-3, 1e308, 1e-2, 2.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

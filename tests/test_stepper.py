@@ -210,6 +210,19 @@ class TestRun:
         scale = np.abs(direct.coeffs).max()
         assert np.abs(fast.coeffs - direct.coeffs).max() < 1e-11 * scale
 
+    @pytest.mark.xfail(raises=BudgetExceeded, strict=True,
+                       reason="build_soe's panels exceed MAX_NODES here, "
+                              "where the direct scheme runs")
+    @pytest.mark.parametrize("alpha, tau_sigma, eps",
+                             [(0.99, 0.01, None), (0.05, 0.5, 1e-8)],
+                             ids=["alpha-0.99", "alpha-0.05-eps-1e-8"])
+    def test_fast_runs_near_the_alpha_ends(self, alpha, tau_sigma, eps):
+        mesh = build_mesh("quad", 4)
+        prob = get_problem("ex61", Material(alpha=alpha, tau_sigma=tau_sigma))
+        res = run(prob, mesh, Scheme.FAST, 1024, eps=eps)
+        assert res.n_steps == 1024
+        assert np.isfinite(res.coeffs).all()
+
     def test_scheme_given_as_its_value(self):
         mesh = build_mesh("quad", 4)
         prob = get_problem("ex61")
