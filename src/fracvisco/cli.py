@@ -293,8 +293,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _tuple_of(kind):
     """Parser of comma-separated text, or of an appending flag's list."""
-    return lambda given: tuple(map(kind, given.split(",") if isinstance(
-        given, str) else given))
+    def parse(val):
+        return tuple(map(kind, val.split(",") if isinstance(val, str) else val))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's message
+    return parse
 
 
 #: config-file section -> key -> parser of its text; each key is the
@@ -320,7 +322,11 @@ def _load_config(path: Path) -> dict:
             if key not in _KEYS[section]:
                 raise ValueError(f"config file {path}: unknown key {key!r} "
                                  f"in section [{section}]")
-            values[key] = _KEYS[section][key](text)
+            try:
+                values[key] = _KEYS[section][key](text)
+            except ValueError as exc:
+                raise ValueError(f"config file {path}: [{section}] {key} = "
+                                 f"{text!r} is malformed: {exc}") from None
     return values
 
 
@@ -345,6 +351,7 @@ def _build_parser() -> _Parser:
         common(ladder_p)
         ladder_p.add_argument("--mesh-n", type=int)
         ladder_p.add_argument("--steps", dest="n_steps", metavar="STEPS",
+                              type=_KEYS["run"]["n_steps"],
                               help="comma-separated step counts")
 
     soe_p = sub.add_parser("soe-table")

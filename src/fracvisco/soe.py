@@ -7,7 +7,7 @@ Builds a certified approximation
 by splitting the integral representation into dyadic panels [0,1], [1,q],
 ..., [q^(K-1), q^K] and applying Gauss-Legendre quadrature with J points per
 panel.  Nodes and weights are all strictly positive, which the telescoping
-memory recursion of :class:`MemoryState` relies on.
+memory recursion of :class:`MemoryState`, one BLAS-2 pass per step, relies on.
 
 The number of panels K and points J are chosen by an escalation loop that
 keeps enlarging the rule until the measured deviation from engine_kernel
@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemv, dger
 from scipy.optimize import nnls
 from scipy.special import exprel
 
@@ -129,20 +130,26 @@ class MemoryState:
 
     H_j(v^n) = decay_j H_j(v^{n-1}) + gain_j v^{n-1},  H_j(v^0) = 0,
 
-    and decay_j, gain_j from :func:`step_factors`.
+    and decay_j, gain_j from :func:`step_factors`, in one BLAS-2 pass over
+    h.T (Fortran-ordered): dgemv forms the total H^T decay + (sum_j gain_j)
+    v^{n-1} from the old H, h *= decay, and dger adds gain (x) v^{n-1}.
     """
 
     def __init__(self, soe: SoeApprox, dt: float, tau_sigma: float,
                  n_dofs: int):
         self.decay, self.gain = step_factors(soe, dt, tau_sigma)
-        self.h = np.zeros((soe.n_exp, n_dofs))
+        self.gain_sum = self.gain.sum()
+        self.h, self.sum = np.zeros((soe.n_exp, n_dofs)), np.zeros(n_dofs)
 
     def advance(self, v_prev: np.ndarray) -> None:
-        self.h *= self.decay[:, None]
-        self.h += self.gain[:, None] * v_prev
+        h = self.h.T
+        self.sum = dgemv(1.0, h, self.decay, beta=self.gain_sum, y=v_prev)
+        h *= self.decay
+        # the result is kept in case the wrapper had to copy h.T
+        self.h = dger(1.0, v_prev, self.gain, a=h, overwrite_a=1).T
 
     def total(self) -> np.ndarray:
-        return self.h.sum(axis=0)
+        return self.sum
 
     @property
     def nbytes(self) -> int:

@@ -1,8 +1,9 @@
 """Backward-Euler time stepping for the velocity-form viscoelastic equation.
 
-Each step solves the SPD system (M/dt + A) v^n = M v^{n-1}/dt + history + load
-with the band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once
-per run.  The paper's two history treatments are provided:
+Each step solves (M/dt + A) v^n = [M/dt  B] (v^{n-1}, w) + load, w the lag
+sum of v^0..v^{n-1}, with one sparse product for the right-hand side and the
+band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once per run.
+The paper's two history treatments are provided:
 
 - fast: sum-of-exponentials memory variables, one recursion per exponential
   (O(N_exp) work and storage per step).  The run builds a sum certified
@@ -61,7 +62,8 @@ class Scheme(str, Enum):
 class Timings:
     """wall_setup: time before the first step (kernel tables, SOE, factor and
     the per-mesh bundle if not passed); wall_total: the step loop, of which
-    wall_history (direct's includes storing v^{n-1}) and wall_solve."""
+    wall_history (lag sum w and gather of (v^{n-1}, w); direct's also stores
+    v^{n-1}) and wall_solve (the right-hand-side product and band solve)."""
 
     wall_setup: float = 0.0
     wall_total: float = 0.0
@@ -132,10 +134,14 @@ class DirectHistory:
 
 class TimeStepSystem:
     """Constant backward-Euler matrix M/dt + A (``lhs``), factored once per
-    run by a LAPACK band Cholesky; ``solve`` applies the factor."""
+    run by a LAPACK band Cholesky, which ``solve`` applies; ``rhs_mat`` =
+    [M/dt  B] takes a step's M v/dt + B w in one product with (v, w)."""
 
-    def __init__(self, mass: sp.csr_matrix, a_mat: sp.csr_matrix, dt: float):
-        self.lhs = (mass / dt + a_mat).tocsr()
+    def __init__(self, mass: sp.csr_matrix, a_mat: sp.csr_matrix, dt: float,
+                 b_mat: sp.csr_matrix):
+        mass_dt = mass / dt
+        self.lhs = (mass_dt + a_mat).tocsr()
+        self.rhs_mat = sp.hstack([mass_dt, b_mat], format="csr")
         self.solve = spd_solver(self.lhs)
 
 
@@ -193,7 +199,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
                          peak_history_bytes=0, soe=None, n_steps=0)
 
     dt = problem.final_time / n_steps
-    system = TimeStepSystem(pre.mass, pre.a_mat, dt)
+    system = TimeStepSystem(pre.mass, pre.a_mat, dt, pre.b_mat)
     times = dt * np.arange(1, n_steps + 1)
     if conv_values is None:
         conv_values = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
@@ -215,9 +221,9 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         load = assemble_load(pre, times[n - 1], conv_values[n - 1])
         h0 = time.perf_counter()
         hist.advance(v)
-        rhs_hist = pre.b_mat @ hist.total()
+        stacked = np.concatenate((v, hist.total()))
         h1 = time.perf_counter()
-        v = system.solve(pre.mass @ v / dt + rhs_hist + load)
+        v = system.solve(system.rhs_mat @ stacked + load)
         h2 = time.perf_counter()
         if not np.isfinite(v).all():
             raise SolveFailure(f"step {n} of N = {n_steps}: the velocity is "

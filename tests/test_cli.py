@@ -202,6 +202,13 @@ class TestExitCodes:
             main(["not-a-command"])
         assert exc.value.code == 1
 
+    def test_malformed_flag_is_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence-time", "--mesh-n", "4", "--steps", "4.5"])
+        assert exc.value.code == 1
+        assert ("argument --steps: invalid comma-separated int value: '4.5'"
+                in capsys.readouterr().err)
+
     def test_missing_config(self, tmp_path):
         assert main(["single-run", "--config", str(tmp_path / "nope.ini"),
                      "--n", "4", "--n-steps", "2"]) == 1
@@ -266,9 +273,15 @@ class TestExitCodes:
         ("[material]\nrho = inf\n", "rho must be finite, got inf"),
         ("[material]\ntau_sigma = inf\n", "tau_sigma must be finite, got inf"),
         ("[run]\nq = 1\n", "q must be a finite number above 1, got 1.0"),
+        ("[run]\nspatial_ns = 4.5\n",
+         "cfg.ini: [run] spatial_ns = '4.5' is malformed"),
+        ("[run]\nmesh = hex\n", "cfg.ini: [run] mesh = 'hex' is malformed"),
+        ("[material]\nrho = abc\n",
+         "cfg.ini: [material] rho = 'abc' is malformed"),
     ], ids=["run-key", "material-key", "section", "default-section",
             "final-time-zero", "final-time-negative", "final-time-inf",
-            "rho-nan", "tau-sigma-nan", "rho-inf", "tau-sigma-inf", "q-one"])
+            "rho-nan", "tau-sigma-nan", "rho-inf", "tau-sigma-inf", "q-one",
+            "spatial-ns-float", "mesh-unknown", "rho-text"])
     def test_bad_config_is_a_usage_error(self, text, named, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)

@@ -9,7 +9,7 @@ import pytest
 from fracvisco import fem, problems, stepper
 from fracvisco.errors import BudgetExceeded, SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
-                           build_dof_map, ritz_project)
+                           b_form_matrix, build_dof_map, ritz_project)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_antiderivative
 from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
@@ -66,6 +66,34 @@ class TestMemoryState:
     def test_nbytes(self, soe):
         mem = MemoryState(soe, 0.1, 0.5, 10)
         assert mem.nbytes == soe.n_exp * 10 * 8
+
+    def test_matches_two_pass_recurrence(self, soe):
+        # the fused BLAS-2 update against the recursion written out: scale
+        # every row by decay, then add gain (x) v.  Entries are compared on
+        # the scale of the same recursion over |v|, since the fused rank-1
+        # update may round h decay + gain v once instead of twice.  The
+        # state stays one C-ordered (N_exp, n_dofs) float64 block, which
+        # nbytes and criterion 6 read.
+        n_dofs, dt, tau = 7, 0.02, 0.5
+        mem = MemoryState(soe, dt, tau, n_dofs)
+        h = np.zeros((soe.n_exp, n_dofs))
+        scale = np.zeros_like(h)
+        vs = np.random.default_rng(17).standard_normal((200, n_dofs))
+        for v in vs:
+            v_in = v.copy()
+            mem.advance(v_in)
+            assert np.array_equal(v_in, v)
+            h = h * mem.decay[:, None]
+            h = h + mem.gain[:, None] * v
+            scale = scale * mem.decay[:, None] + mem.gain[:, None] * abs(v)
+            assert np.all(np.abs(mem.h - h) <= 1e-13 * scale)
+            total_scale = scale.sum(axis=0)
+            assert np.all(np.abs(mem.total() - h.sum(axis=0))
+                          <= 1e-13 * total_scale)
+            assert np.all(np.abs(mem.total() - mem.h.sum(axis=0))
+                          <= 1e-13 * total_scale)
+            assert mem.h.shape == (soe.n_exp, n_dofs)
+            assert mem.h.dtype == np.float64 and mem.h.flags.c_contiguous
 
 
 class TestWeights:
@@ -147,12 +175,29 @@ class TestTimeStepSystem:
         mass = assemble_mass(mesh, dofs)
         a = a_form_matrix(mesh, dofs, mat)
         dt = 0.1
-        system = TimeStepSystem(mass, a, dt)
+        system = TimeStepSystem(mass, a, dt, b_form_matrix(mesh, dofs, mat, a))
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal(dofs.n_dofs)
         x = system.solve(rhs)
         dense = (mass / dt + a).toarray()
         assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-10)
+
+    def test_rhs_product_is_mass_and_history(self):
+        # [M/dt  B] (v, w) is the step's M v/dt + B w in one product
+        mesh = build_mesh("tri", 5)
+        dofs = build_dof_map(mesh)
+        mat = Material(alpha=0.3)
+        mass = assemble_mass(mesh, dofs)
+        a = a_form_matrix(mesh, dofs, mat)
+        b = b_form_matrix(mesh, dofs, mat, a)
+        dt = 0.003
+        system = TimeStepSystem(mass, a, dt, b)
+        assert system.rhs_mat.shape == (dofs.n_dofs, 2 * dofs.n_dofs)
+        v, w = np.random.default_rng(5).standard_normal((2, dofs.n_dofs))
+        want = mass @ v / dt + b @ w
+        got = system.rhs_mat @ np.concatenate((v, w))
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-13 * np.abs(want).max())
 
 
 class TestRun:
