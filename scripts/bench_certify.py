@@ -19,8 +19,12 @@ The source tree is given by ``--src`` (default: this repository's ``src``)
 and BLAS runs on one thread.  Each case also times perfbench's reference
 work before and after its samples (``reference_s``) and gives the medians
 in reference seconds as well (``*_ref_s``), as ``bench_history.py`` does.
-The record also holds the machine and is merged into the output file under
-``records[label]``.
+The record's ``tables`` time the engine's two per-run tables the same way:
+the I(t) table of ``problems.conv_factor_grid`` (``conv_table_s``) and the
+direct lag weights of ``stepper.direct_weights`` from the kernel
+antiderivative (``antiderivative_s``), at the cases' sizes and at
+N = 1500, alpha = 0.5 (direct-long).  The record also holds the machine
+and is merged into the output file under ``records[label]``.
 
 The third form is ``scripts/bench_history.py --pairs``: it runs
 ``perfbench/run.py`` in two checkouts, alternating which goes first, and
@@ -38,7 +42,35 @@ from bench_solve import median_time
 
 CASES = ((0.3, 256), (0.5, 256), (0.8, 256),
          (0.5, 5), (0.5, 10), (0.5, 20), (0.5, 40))
+TABLE_CASES = CASES + ((0.5, 1500),)
 TAU_SIGMA, FINAL_TIME = 0.5, 1.0
+
+
+def table_record(clock) -> list[dict]:
+    """Median times of the I(t) table and the direct lag weights."""
+    import numpy as np
+    from fracvisco import problems, stepper
+    from fracvisco.fem import Material
+
+    tables = []
+    for alpha, n_steps in TABLE_CASES:
+        dt = FINAL_TIME / n_steps
+        times = dt * np.arange(1, n_steps + 1)
+        mat = Material(alpha=alpha, tau_sigma=TAU_SIGMA)
+        medians, ref_time = clock.around(lambda: {
+            "conv_table_s": median_time(lambda: problems.conv_factor_grid(
+                alpha, TAU_SIGMA, times)),
+            "antiderivative_s": median_time(lambda: stepper.direct_weights(
+                mat, dt, n_steps))})
+        case = {"alpha": alpha, "n_steps": n_steps, **medians,
+                "reference_s": ref_time}
+        for name in ("conv_table_s", "antiderivative_s"):
+            case[name[:-2] + "_ref_s"] = case[name] * clock.ref_s / ref_time
+        tables.append(case)
+        print(f"alpha={alpha} N={n_steps}: I(t) table "
+              f"{case['conv_table_s'] * 1e3:.2f} ms, lag weights "
+              f"{case['antiderivative_s'] * 1e3:.2f} ms", file=sys.stderr)
+    return tables
 
 
 def certify_record(src: Path) -> dict:
@@ -82,7 +114,7 @@ def certify_record(src: Path) -> dict:
               f"{case['build_soe_s'] * 1e3:.1f} ms", file=sys.stderr)
     return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "samples": soe.CERTIFY_SAMPLES, "machine": machine(),
-            "cases": cases}
+            "cases": cases, "tables": table_record(clock)}
 
 
 def main() -> None:

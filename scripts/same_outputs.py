@@ -14,13 +14,15 @@ compared byte for byte, with these exceptions, which are timings:
 - bench_time.svg, which plots wall_history, is not compared.
 
 The cases are the CLI ladders, bench, single-run (fast, direct, alpha = 1
-and a [material] config), soe-table, and the final
+and a [material] config), soe-table, the final
 L2 errors (printed with repr, so bit for bit) of the full-size runs of each
 benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
-way ``perfbench/workloads.py`` runs them.  Prints one IDENTICAL or
-DIFFERENT line per case, a DIFFERENT pinned case with the largest relative
-change of its errors, max |after/before - 1|; exits 1 on any difference or
-failed run.
+way ``perfbench/workloads.py`` runs them, and the kernel engine's tables at
+those runs' sizes: the I(t) table, the direct lag weights and the kernel on
+the grid that certifies the run's SOE, every entry printed with repr.
+Prints one IDENTICAL or DIFFERENT line per case, a DIFFERENT pinned case
+with the largest relative change of its errors, max |after/before - 1|;
+exits 1 on any difference or failed run.
 """
 
 from __future__ import annotations
@@ -73,6 +75,34 @@ for group in plan(workload):
         print(run.key, repr(err))
 """
 
+# The engine tables of every distinct (alpha, N) of the workloads' runs.
+ENGINE_TABLES = """\
+import sys
+import numpy as np
+from fracvisco import problems, soe, stepper
+from fracvisco.cli import RunConfig
+sys.path.insert(0, sys.argv[1])
+from spec import plan
+cfg, seen = RunConfig(), set()
+for workload in ("spatial-fast", "temporal-ladder", "direct-long"):
+    for run in (run for group in plan(workload) for run in group):
+        if (run.alpha, run.n_steps) in seen:
+            continue
+        seen.add((run.alpha, run.n_steps))
+        mat, dt = cfg.material(run.alpha), cfg.final_time / run.n_steps
+        tau = mat.tau_sigma
+        grid = np.geomspace(dt / (10.0 * tau), cfg.final_time / tau,
+                            soe.CERTIFY_SAMPLES)
+        tables = {
+            "I": problems.conv_factor_grid(
+                run.alpha, tau, dt * np.arange(1, run.n_steps + 1)),
+            "w": stepper.direct_weights(mat, dt, run.n_steps),
+            "beta": soe.engine_kernel(run.alpha, grid)}
+        for name, table in tables.items():
+            print(f"a={run.alpha} N={run.n_steps} {name}",
+                  repr(table.tolist()))
+"""
+
 # name -> (python source, its argv; OUT and the CONFIGS keys are filled
 # per run)
 CASES = {
@@ -108,6 +138,7 @@ CASES = {
         "soe-table", "--alpha", "0.5", "--eps", "1e-6", "--out", "OUT"]),
     **{f"pinned {w}": (PINNED_RUNS, [str(ROOT / "perfbench"), w])
        for w in ("spatial-fast", "temporal-ladder", "direct-long")},
+    "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),
 }
 
 

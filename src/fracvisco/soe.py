@@ -21,12 +21,19 @@ the result on every lag.
 
 A fixed, much tighter panel rule is the kernel engine: :func:`exp_convolution`
 gives I(t) and the kernel antiderivative for whole time tables at once, and
-:func:`engine_kernel` the kernel values that certify a built sum.  The tests
-check the engine against ``mlf``'s scalar series/quadrature.
+:func:`engine_kernel` the kernel values that certify a built sum.  Its rates
+are non-increasing, so in each (times x rates) block the entries whose value
+is known exactly are a prefix and a suffix of the columns; the engine writes
+them instead of evaluating them (e^{-a t} = 0 where a t > 746, exprel(x) =
+-1/x where x < -40, exprel at the slow rates) and reduces the same matrix
+as before.  Each Gauss-Legendre rule is built once per point count.  The
+tests check the engine against ``mlf``'s scalar series/quadrature and
+against its rule evaluated on every entry.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -51,6 +58,7 @@ ENGINE_X_MIN, ENGINE_X_MAX = 4.0 ** -20, 4.0 ** 24
 ENGINE_RATE_RATIO = 16.0
 ENGINE_J, ENGINE_J_CHECK = 20, 16
 ENGINE_TOL = 1e-9
+EPS = np.finfo(float).eps
 #: Entries of each (times x nodes) temporary: 128 KB, so tables add no RSS.
 ENGINE_BLOCK = 1 << 14
 
@@ -98,11 +106,19 @@ def build_panels(q: float, big_k: int, down: int = 0) -> np.ndarray:
         raise ValueError(f"q = {q} overflows q**K at K = {big_k}") from None
 
 
+@functools.cache
+def _gauss_legendre(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of j-point Gauss-Legendre on [-1, 1]."""
+    xi, omega = np.polynomial.legendre.leggauss(j)
+    xi.flags.writeable = omega.flags.writeable = False
+    return xi, omega
+
+
 def _panel_rule(alpha: float, edges: np.ndarray,
                 j: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of j-point Gauss-Legendre on each panel between
-    consecutive edges, panel-major."""
-    xi, omega = np.polynomial.legendre.leggauss(j)
+    consecutive edges, panel-major: the rates come out non-increasing."""
+    xi, omega = _gauss_legendre(j)
     c_ap, s_ap = math.cos(alpha * math.pi), math.sin(alpha * math.pi)
     pref = s_ap / (alpha * math.pi)
     c = ((edges[:-1] + edges[1:]) / 2.0)[:, None]
@@ -263,6 +279,17 @@ def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
     return [_panel_rule(alpha, edges, j) for j in (ENGINE_J, ENGINE_J_CHECK)]
 
 
+def _engine_times(times) -> np.ndarray:
+    """times as a float array; ValueError at the first one that is not a
+    finite nonnegative number."""
+    times = np.asarray(times, dtype=float)
+    bad = np.flatnonzero(~((times >= 0.0) & (times < math.inf)))
+    if bad.size:
+        raise ValueError(f"times[{bad[0]}] = {times.flat[bad[0]]} is not a "
+                         f"finite nonnegative number")
+    return times
+
+
 def _engine_sum(alpha: float, times: np.ndarray, rule_sum) -> np.ndarray:
     """rule_sum(t, a, b) for the ENGINE_J rule's rates a and weights b on
     blocks t of the 1-D times.  QuadratureFailure where the ENGINE_J_CHECK
@@ -290,22 +317,43 @@ def exp_convolution(alpha: float, tau_sigma: float, times,
     beta(t) = E_alpha(-(t/tau_sigma)^alpha).
 
     With beta = sum_j b_j e^{-a_j t/tau} the integral closes to
-    t e^{-rate t} sum_j b_j exprel((rate - a_j/tau) t), stable for a_j/tau
-    near rate: rate = 1 gives the load factor I(t), rate = 0 the kernel
-    antiderivative.  Checked as in _engine_sum.
+    t e^{-rate t} sum_j b_j exprel(x_j), x_j = (rate - a_j/tau) t, stable
+    for a_j/tau near rate: rate = 1 gives the load factor I(t), rate = 0
+    the kernel antiderivative.  Checked as in _engine_sum.  Exact entries
+    are written, not evaluated: -1/x_j where x_j < -40, exprel(rate t) where
+    rate - a_j/tau rounds to rate, and 1 where rate = 0 and |x_j| < eps.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("times must be nonnegative")
-    return _engine_sum(alpha, times, lambda t, a, b: t * np.exp(-rate * t) * (
-        exprel(np.multiply.outer(t, rate - a / tau_sigma)) * b).sum(axis=1))
+    times = _engine_times(times)
+    if not 0.0 < tau_sigma < math.inf:
+        raise ValueError(f"tau_sigma must be finite and positive, "
+                         f"got {tau_sigma}")
+
+    def rule_sum(t, a, b):
+        c = rate - a / tau_sigma    # non-decreasing, as a is non-increasing
+        lo = np.count_nonzero(t.min() * c < -40.0)
+        hi = max(lo, np.count_nonzero(c != rate) if rate else
+                 np.count_nonzero(np.abs(t.max() * c) >= EPS))
+        m = np.multiply.outer(t, c)    # the arguments x_j
+        np.divide(-1.0, m[:, :lo], out=m[:, :lo])
+        exprel(m[:, lo:hi], out=m[:, lo:hi])
+        m[:, hi:] = exprel(rate * t)[:, None]    # x_j = rate t or ~0
+        return t * np.exp(-rate * t) * (m * b).sum(axis=1)
+
+    return _engine_sum(alpha, times, rule_sum)
 
 
 def engine_kernel(alpha: float, times: np.ndarray) -> np.ndarray:
     """E_alpha(-t**alpha) = sum_j b_j e^{-a_j t} for each t in the 1-D
-    times by the kernel engine's rule, checked as in _engine_sum."""
-    return _engine_sum(alpha, times,
-                       lambda t, a, b: np.exp(-np.multiply.outer(t, a)) @ b)
+    times by the kernel engine's rule, checked as in _engine_sum; the
+    entries with a_j t > 746, where exp underflows to 0, are written as 0."""
+
+    def rule_sum(t, a, b):
+        lo = np.count_nonzero(t.min() * a > 746.0)
+        m = np.zeros((t.size, a.size))
+        np.exp(-np.multiply.outer(t, a[lo:]), out=m[:, lo:])
+        return m @ b
+
+    return _engine_sum(alpha, _engine_times(times), rule_sum)
 
 
 def certify_soe(soe: SoeApprox, t_min: float, t_max: float,

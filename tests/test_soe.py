@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import exprel
 
+import engine_oracle
+from fracvisco import soe as soe_module
 from fracvisco.errors import BudgetExceeded, QuadratureFailure
 from fracvisco.mlf import kernel_beta, ml_integral
 from fracvisco.soe import (CERTIFY_SAMPLES, COMPRESS_RTOL, SoeApprox,
                            _engine_rules, _panel_rule, build_panels, build_soe,
                            certify_soe, compress_soe, engine_kernel, eval_soe,
-                           theta_weights, write_table)
+                           exp_convolution, theta_weights, write_table)
+
+DBL_EPS = np.finfo(float).eps
 
 
 class TestPanels:
@@ -69,6 +74,98 @@ class TestEngineRules:
         # where the poles -cos(alpha pi) +- i sin(alpha pi) near x = 1
         for _, weights in _engine_rules(alpha):
             assert abs(weights.sum() - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("alpha",
+                             [0.05, 0.3, 0.5, 0.8, 0.99, 0.99999, 1.0])
+    def test_rates_non_increasing(self, alpha):
+        # the engine finds its exactly known entries as a prefix and a
+        # suffix of each block's columns, which needs ordered rates
+        for rates, _ in _engine_rules(alpha):
+            assert np.all(np.diff(rates) <= 0.0)
+
+
+class TestExactEntryIdentities:
+    """The floating-point identities behind the entries the engine writes
+    instead of evaluating; a numpy, scipy or libm upgrade that breaks one
+    fails here."""
+
+    def test_exprel_is_minus_reciprocal_from_minus_40(self):
+        x = -np.concatenate([np.linspace(40.0, 1e4, 400_001),
+                             np.geomspace(1e4, 1e300, 100_001)])
+        assert np.array_equal(exprel(x), -1.0 / x)
+
+    def test_exprel_is_one_within_eps(self):
+        tiny = np.geomspace(1e-300, DBL_EPS, 10_001)[:-1]
+        x = np.concatenate([np.linspace(-DBL_EPS, DBL_EPS, 400_001)[1:-1],
+                            tiny, -tiny, [0.0, -0.0]])
+        assert np.all(exprel(x) == 1.0)
+
+    def test_exp_is_zero_from_746(self):
+        x = np.concatenate([np.linspace(746.0, 1e4, 400_001),
+                            np.geomspace(1e4, 1e300, 100_001)])
+        assert np.all(np.exp(-x) == 0.0)
+
+
+#: Table times, 0, 1e-12 and 50 among them, in ascending and shuffled order
+#: (shuffled blocks span wide ranges, sorted ones long known prefixes).
+_TIMES = np.concatenate([[0.0, 1e-12, 50.0], np.geomspace(1e-9, 40.0, 120),
+                         np.linspace(0.0, 2.0, 81)])
+_ORDERS = {"sorted": np.sort(_TIMES),
+           "shuffled": np.random.default_rng(18).permutation(_TIMES)}
+
+
+class TestEngineAgainstNaiveOracle:
+    """The engine equals, bit for bit, its rule evaluated on every entry."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 10.0])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0, 7.0])
+    def test_exp_convolution(self, alpha, tau, rate):
+        for times in _ORDERS.values():
+            assert np.array_equal(
+                exp_convolution(alpha, tau, times, rate),
+                engine_oracle.exp_convolution(alpha, tau, times, rate))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
+    def test_engine_kernel(self, alpha):
+        for times in _ORDERS.values():
+            assert np.array_equal(engine_kernel(alpha, times),
+                                  engine_oracle.engine_kernel(alpha, times))
+
+    def test_known_entries_are_not_evaluated(self, monkeypatch):
+        # the load factor table of a 256-step run: the engine calls exprel
+        # on well under the whole matrix of either rule
+        seen = []
+
+        def counting_exprel(x, **kwargs):
+            seen.append(np.size(x))
+            return exprel(x, **kwargs)
+
+        monkeypatch.setattr(soe_module, "exprel", counting_exprel)
+        times = np.arange(1, 257) / 256.0
+        exp_convolution(0.5, 0.5, times, 1.0)
+        entries = times.size * sum(a.size for a, _ in _engine_rules(0.5))
+        assert sum(seen) < 0.8 * entries
+
+
+class TestEngineInputs:
+    """The engine refuses bad input with a ValueError that names it,
+    rather than failing its quadrature check or returning zeros."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_exp_convolution_refuses_bad_time(self, bad):
+        with pytest.raises(ValueError, match=r"times\[2\] = "):
+            exp_convolution(0.5, 0.5, [0.1, 0.2, bad, 0.3, bad], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_engine_kernel_refuses_bad_time(self, bad):
+        with pytest.raises(ValueError, match=r"times\[1\] = "):
+            engine_kernel(0.5, np.array([0.1, bad, 0.3]))
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan])
+    def test_exp_convolution_refuses_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau_sigma must be finite"):
+            exp_convolution(0.5, tau, [0.5], 1.0)
 
 
 class TestEngineKernel:
