@@ -12,9 +12,9 @@ log-spaced points on [dt / (10 tau), T / tau], tau = 0.5, T = 1) for the
 benchmark workloads' runs: alpha = 0.3, 0.5 and 0.8 at N = 256
 (spatial-fast) and alpha = 0.5 at N = 5, 10, 20 and 40 (temporal-ladder).
 Each case records the time of one pass of the scalar ``mlf.kernel_beta``
-over the grid, of one ``soe.engine_kernel`` call (null where the tree has
-none) and of the run's ``build_soe`` call (eps = dt / 10, q = 10), each the
-median of 3 samples, and the largest difference of the two references.
+over the grid, of one ``soe.engine_kernel`` call and of the run's
+``build_soe`` call (eps = dt / 10, q = 10), each the median of 3 samples,
+and the largest difference of the two references.
 The source tree is given by ``--src`` (default: this repository's ``src``)
 and BLAS runs on one thread.  Each case also times perfbench's reference
 work before and after its samples (``reference_s``) and gives the medians
@@ -78,7 +78,6 @@ def certify_record(src: Path) -> dict:
     import numpy as np
     from fracvisco import mlf, soe
 
-    engine = getattr(soe, "engine_kernel", None)
     clock = ReferenceClock()
     cases = []
     for alpha, n_steps in CASES:
@@ -90,27 +89,20 @@ def certify_record(src: Path) -> dict:
             return np.array([mlf.kernel_beta(alpha, 1.0, float(t))
                              for t in grid])
 
-        def measure():
-            out = {"mlf_s": median_time(by_mlf), "build_soe_s": median_time(
-                lambda: soe.build_soe(alpha, dt / 10.0, 10.0, t_min, t_max))}
-            if engine is not None:
-                out["engine_s"] = median_time(lambda: engine(alpha, grid))
-            return out
-
-        medians, ref_time = clock.around(measure)
+        medians, ref_time = clock.around(lambda: {
+            "mlf_s": median_time(by_mlf),
+            "engine_s": median_time(lambda: soe.engine_kernel(alpha, grid)),
+            "build_soe_s": median_time(lambda: soe.build_soe(
+                alpha, dt / 10.0, 10.0, t_min, t_max))})
         case = {"alpha": alpha, "n_steps": n_steps, "t_min": t_min,
-                "t_max": t_max, "engine_s": None, **medians,
-                "reference_s": ref_time, "max_abs_diff": None}
-        if engine is not None:
-            case["max_abs_diff"] = float(
-                np.abs(engine(alpha, grid) - by_mlf()).max())
+                "t_max": t_max, **medians, "reference_s": ref_time,
+                "max_abs_diff": float(np.abs(soe.engine_kernel(alpha, grid)
+                                             - by_mlf()).max())}
         for name in ("mlf_s", "engine_s", "build_soe_s"):
-            if case[name] is not None:
-                case[name[:-2] + "_ref_s"] = (case[name] * clock.ref_s
-                                              / ref_time)
+            case[name[:-2] + "_ref_s"] = case[name] * clock.ref_s / ref_time
         cases.append(case)
         print(f"alpha={alpha} N={n_steps}: mlf {case['mlf_s'] * 1e3:.1f} ms, "
-              f"engine {(case['engine_s'] or 0.0) * 1e3:.1f} ms, build_soe "
+              f"engine {case['engine_s'] * 1e3:.1f} ms, build_soe "
               f"{case['build_soe_s'] * 1e3:.1f} ms", file=sys.stderr)
     return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "samples": soe.CERTIFY_SAMPLES, "machine": machine(),

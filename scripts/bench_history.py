@@ -15,8 +15,8 @@ seconds swing with the load of a shared host, so each case also times
 perfbench's fixed reference work (``perfbench/reference.py``) before and
 after its samples and records the median in reference seconds as well,
 raw * REF_S / (mean reference time).  The record also holds n_dofs, the
-stepper's HISTORY_BLOCK (null where the tree has none) and the machine, and
-is merged into the output file under ``records[label]``.
+stepper's HISTORY_BLOCK and the machine, and is merged into the output
+file under ``records[label]``.
 
 The third form runs ``perfbench/run.py`` in two checkouts, alternating which
 goes first, one pair per seed, and merges each side's end-to-end metrics per
@@ -99,7 +99,7 @@ def history_record(src: Path) -> dict:
                       "wall_history_ref_s": median_ref})
         print(f"quad n={n} N={n_steps}: wall_history median {median:.3f} s, "
               f"{median_ref:.3f} reference s", file=sys.stderr)
-    return {"history_block": getattr(stepper, "HISTORY_BLOCK", None),
+    return {"history_block": stepper.HISTORY_BLOCK,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "machine": machine(), "cases": cases}
 

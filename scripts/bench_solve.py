@@ -12,12 +12,11 @@ with the source tree given by ``--src`` (default: this repository's
 ``src``) and one BLAS thread.  Each case records the factor time (the
 ``spd_solver`` call), the time of one solve and of one 3-column solve
 (each the median of 3 samples), n_dofs, the half-bandwidth and the entries
-the factor stores (L + U nonzeros for a SuperLU factor, (bandwidth + 1) *
-n_dofs for a band factor).  Each case also times perfbench's reference work
-before and after its samples (``reference_s``) and gives the three medians
-in reference seconds as well (``*_ref_s``), as ``bench_history.py`` does.
-The record also holds the machine and is merged into the output file under
-``records[label]``.
+the band factor stores, (bandwidth + 1) * n_dofs.  Each case also times
+perfbench's reference work before and after its samples (``reference_s``)
+and gives the three medians in reference seconds as well (``*_ref_s``), as
+``bench_history.py`` does.  The record also holds the machine and is merged
+into the output file under ``records[label]``.
 
 The third form is ``scripts/bench_history.py --pairs``: it runs
 ``perfbench/run.py`` in two checkouts, alternating which goes first, and
@@ -69,9 +68,6 @@ def solve_record(src: Path) -> dict:
         upper = sp.triu(lhs, format="coo")
         bw = int((upper.col - upper.row).max())
         solve = spd_solver(lhs)
-        lu = getattr(solve, "__self__", None)  # SuperLU.solve is a bound method
-        stored = (lu.L.nnz + lu.U.nnz if lu is not None
-                  else (bw + 1) * dofs.n_dofs)
         rhs = rng.standard_normal(dofs.n_dofs)
         rhs3 = rng.standard_normal((dofs.n_dofs, 3))
         t0 = time.perf_counter()
@@ -84,8 +80,9 @@ def solve_record(src: Path) -> dict:
         scale = clock.ref_s / ref_time
         cases.append({"mesh": kind, "n": n, "n_dofs": dofs.n_dofs,
                       "half_bandwidth": bw,
-                      "factor": "superlu" if lu is not None else "band",
-                      "factor_entries": int(stored), "factor_s": factor_s,
+                      "factor": "band",
+                      "factor_entries": (bw + 1) * dofs.n_dofs,
+                      "factor_s": factor_s,
                       "solve_s": solve_s, "solve_3rhs_s": solve3_s,
                       "reference_s": ref_time,
                       "factor_ref_s": factor_s * scale,

@@ -19,7 +19,10 @@ L2 errors (printed with repr, so bit for bit) of the full-size runs of each
 benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
 way ``perfbench/workloads.py`` runs them, and the kernel engine's tables at
 those runs' sizes: the I(t) table, the direct lag weights and the kernel on
-the grid that certifies the run's SOE, every entry printed with repr.
+the grid that certifies the run's SOE, every entry printed with repr, and
+the exponential sums of the fast runs among them: each built sum's nodes,
+weights and eps_certified, its compressed sum's nodes, weights and
+lag_deviation, and the lag weights theta_1..theta_N of both, by repr.
 Prints one IDENTICAL or DIFFERENT line per case, a DIFFERENT pinned case
 with the largest relative change of its errors, max |after/before - 1|;
 exits 1 on any difference or failed run.
@@ -103,6 +106,35 @@ for workload in ("spatial-fast", "temporal-ladder", "direct-long"):
                   repr(table.tolist()))
 """
 
+# The sums of every distinct (alpha, N) of the fast workloads' runs, built
+# and compressed as stepper.run builds them.
+SOE_SUMS = """\
+import sys
+from fracvisco import soe
+from fracvisco.cli import RunConfig
+sys.path.insert(0, sys.argv[1])
+from spec import plan
+cfg, seen = RunConfig(), set()
+for workload in ("spatial-fast", "temporal-ladder"):
+    for run in (run for group in plan(workload) for run in group):
+        if run.scheme != "fast" or (run.alpha, run.n_steps) in seen:
+            continue
+        seen.add((run.alpha, run.n_steps))
+        dt, tau = (cfg.final_time / run.n_steps,
+                   cfg.material(run.alpha).tau_sigma)
+        built = soe.build_soe(run.alpha, cfg.eps_for(dt), cfg.q,
+                              t_min=dt / (10.0 * tau),
+                              t_max=cfg.final_time / tau)
+        small = soe.compress_soe(built, dt, tau, run.n_steps)
+        for name, approx, figure in (("built", built, built.eps_certified),
+                                     ("compressed", small,
+                                      small.lag_deviation)):
+            theta = soe.theta_weights(approx, dt, tau, run.n_steps)
+            print(f"a={run.alpha} N={run.n_steps} {name}",
+                  repr(approx.nodes.tolist()), repr(approx.weights.tolist()),
+                  repr(figure), repr(theta.tolist()))
+"""
+
 # name -> (python source, its argv; OUT and the CONFIGS keys are filled
 # per run)
 CASES = {
@@ -139,6 +171,7 @@ CASES = {
     **{f"pinned {w}": (PINNED_RUNS, [str(ROOT / "perfbench"), w])
        for w in ("spatial-fast", "temporal-ladder", "direct-long")},
     "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),
+    "SOE sums": (SOE_SUMS, [str(ROOT / "perfbench")]),
 }
 
 

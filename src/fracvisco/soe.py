@@ -26,8 +26,9 @@ are non-increasing, so in each (times x rates) block the entries whose value
 is known exactly are a prefix and a suffix of the columns; the engine writes
 them instead of evaluating them (e^{-a t} = 0 where a t > 746, exprel(x) =
 -1/x where x < -40, exprel at the slow rates) and reduces the same matrix
-as before.  Each Gauss-Legendre rule is built once per point count.  The
-tests check the engine against ``mlf``'s scalar series/quadrature and
+as before; that kernel sum, _exp_sum, also serves eval_soe and
+theta_weights.  Each Gauss-Legendre rule is built once per point count.
+The tests check the engine against ``mlf``'s scalar series/quadrature and
 against its rule evaluated on every entry.
 """
 
@@ -59,6 +60,8 @@ ENGINE_RATE_RATIO = 16.0
 ENGINE_J, ENGINE_J_CHECK = 20, 16
 ENGINE_TOL = 1e-9
 EPS = np.finfo(float).eps
+#: log(DBL_MAX): exp_convolution's closed form overflows past rate t = LOG_MAX.
+LOG_MAX = math.log(np.finfo(float).max)
 #: Entries of each (times x nodes) temporary: 128 KB, so tables add no RSS.
 ENGINE_BLOCK = 1 << 14
 
@@ -118,6 +121,8 @@ def _panel_rule(alpha: float, edges: np.ndarray,
                 j: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of j-point Gauss-Legendre on each panel between
     consecutive edges, panel-major: the rates come out non-increasing."""
+    if alpha == 1.0:    # the exact one-term rule E_1(-t) = e^{-t}
+        return np.ones(1), np.ones(1)
     xi, omega = _gauss_legendre(j)
     c_ap, s_ap = math.cos(alpha * math.pi), math.sin(alpha * math.pi)
     pref = s_ap / (alpha * math.pi)
@@ -147,29 +152,38 @@ class MemoryState:
     H_j(v^n) = decay_j H_j(v^{n-1}) + gain_j v^{n-1},  H_j(v^0) = 0,
 
     and decay_j, gain_j from :func:`step_factors`, in one BLAS-2 pass over
-    h.T (Fortran-ordered): dgemv forms the total H^T decay + (sum_j gain_j)
-    v^{n-1} from the old H, h *= decay, and dger adds gain (x) v^{n-1}.
+    h.T (Fortran-ordered) by advance(v^{n-1}): dgemv forms the total it
+    returns, sum_j H_j(v^n) = H^T decay + (sum_j gain_j) v^{n-1}, from the
+    old H, h *= decay, and dger adds gain (x) v^{n-1}.
     """
 
     def __init__(self, soe: SoeApprox, dt: float, tau_sigma: float,
                  n_dofs: int):
         self.decay, self.gain = step_factors(soe, dt, tau_sigma)
         self.gain_sum = self.gain.sum()
-        self.h, self.sum = np.zeros((soe.n_exp, n_dofs)), np.zeros(n_dofs)
+        self.h = np.zeros((soe.n_exp, n_dofs))
 
-    def advance(self, v_prev: np.ndarray) -> None:
+    def advance(self, v_prev: np.ndarray) -> np.ndarray:
         h = self.h.T
-        self.sum = dgemv(1.0, h, self.decay, beta=self.gain_sum, y=v_prev)
+        total = dgemv(1.0, h, self.decay, beta=self.gain_sum, y=v_prev)
         h *= self.decay
         # the result is kept in case the wrapper had to copy h.T
         self.h = dger(1.0, v_prev, self.gain, a=h, overwrite_a=1).T
-
-    def total(self) -> np.ndarray:
-        return self.sum
+        return total
 
     @property
     def nbytes(self) -> int:
         return self.h.nbytes
+
+
+def _exp_sum(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j b_j e^{-a_j t} for each entry of t as m @ b, the leading run of
+    m's columns with a_j min(t) > 746 (exp underflows) written as 0."""
+    lo = np.count_nonzero(np.logical_and.accumulate(
+        np.min(t, initial=math.inf) * a > 746.0))
+    m = np.zeros(t.shape + a.shape)
+    np.exp(np.multiply.outer(-t, a[lo:]), out=m[..., lo:])
+    return m @ b
 
 
 def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
@@ -188,9 +202,9 @@ def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
     out = np.empty(n_max)
     rows = max(1, ENGINE_BLOCK // soe.n_exp)
     for lo in range(0, n_max, rows):
-        past = np.arange(lo, min(lo + rows, n_max))    # l - 1
+        past = np.arange(lo, min(lo + rows, n_max), dtype=float)    # l - 1
         # e^{-(l-1) rate}: a third of the time of decay ** (l-1)
-        out[lo:lo + past.size] = np.exp(np.multiply.outer(-past, rate)) @ gain
+        out[lo:lo + past.size] = _exp_sum(past, rate, gain)
     return out
 
 
@@ -253,21 +267,19 @@ def compress_soe(soe: SoeApprox, dt: float, tau_sigma: float,
 def eval_soe(soe: SoeApprox, t) -> np.ndarray | float:
     """Evaluate the exponential sum at (normalized) time t."""
     t_arr = np.asarray(t, dtype=float)
-    val = np.exp(-np.multiply.outer(t_arr, soe.nodes)) @ soe.weights
+    val = _exp_sum(t_arr, soe.nodes, soe.weights)
     return float(val) if np.isscalar(t) or t_arr.ndim == 0 else val
 
 
 def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rates a_j and weights b_j, E_alpha(-t**alpha) ~= sum_j b_j e^{-a_j t},
-    of the ENGINE_J and ENGINE_J_CHECK rules; alpha = 1 is the exact e^{-t}.
+    of the ENGINE_J and ENGINE_J_CHECK rules.
 
     Geometric edges with ratio min(4, 16^alpha) bound the rate change per
     panel.  For alpha near 1 the weight's poles -cos(alpha pi) +- i
     sin(alpha pi) approach the axis, so edges are also graded by doubling
     away from x0 = -cos(alpha pi) in steps of the pole distance.
     """
-    if alpha == 1.0:
-        return [(np.ones(1), np.ones(1))] * 2
     q = min(4.0, ENGINE_RATE_RATIO ** alpha)
     lo, hi = (math.floor(math.log(x, q)) for x in (ENGINE_X_MIN, ENGINE_X_MAX))
     x0, d = -math.cos(alpha * math.pi), math.sin(alpha * math.pi)
@@ -322,11 +334,19 @@ def exp_convolution(alpha: float, tau_sigma: float, times,
     the kernel antiderivative.  Checked as in _engine_sum.  Exact entries
     are written, not evaluated: -1/x_j where x_j < -40, exprel(rate t) where
     rate - a_j/tau rounds to rate, and 1 where rate = 0 and |x_j| < eps.
+    The closed form overflows where rate t > LOG_MAX: such a time raises
+    ValueError.
     """
     times = _engine_times(times)
     if not 0.0 < tau_sigma < math.inf:
         raise ValueError(f"tau_sigma must be finite and positive, "
                          f"got {tau_sigma}")
+    far = np.flatnonzero(rate * times > LOG_MAX)
+    if far.size:
+        t = times.flat[far[0]]
+        raise ValueError(f"times[{far[0]}] = {t:g} is past the closed form's "
+                         f"range: rate * t = {rate * t:g} exceeds "
+                         f"log(DBL_MAX) = {LOG_MAX:.6g}")
 
     def rule_sum(t, a, b):
         c = rate - a / tau_sigma    # non-decreasing, as a is non-increasing
@@ -344,16 +364,9 @@ def exp_convolution(alpha: float, tau_sigma: float, times,
 
 def engine_kernel(alpha: float, times: np.ndarray) -> np.ndarray:
     """E_alpha(-t**alpha) = sum_j b_j e^{-a_j t} for each t in the 1-D
-    times by the kernel engine's rule, checked as in _engine_sum; the
-    entries with a_j t > 746, where exp underflows to 0, are written as 0."""
-
-    def rule_sum(t, a, b):
-        lo = np.count_nonzero(t.min() * a > 746.0)
-        m = np.zeros((t.size, a.size))
-        np.exp(-np.multiply.outer(t, a[lo:]), out=m[:, lo:])
-        return m @ b
-
-    return _engine_sum(alpha, _engine_times(times), rule_sum)
+    times by the kernel engine's rule and _exp_sum, checked as in
+    _engine_sum."""
+    return _engine_sum(alpha, _engine_times(times), _exp_sum)
 
 
 def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
@@ -376,8 +389,8 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
 
     Escalation: start from K estimated from the range/tolerance, J = 8;
     certify against engine_kernel; on failure raise J by 4 up to 48, then K
-    by 2, until the node budget would be exceeded.  alpha = 1 is the exact
-    one-term sum e^{-t}.
+    by 2, until the rule has more than MAX_NODES nodes.  At alpha = 1 every
+    rule is the exact one-term sum e^{-t}, certified to 0 for any q.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -387,9 +400,6 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
         raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     if not 1.0 < q < math.inf:
         raise ValueError(f"q must be a finite number above 1, got {q}")
-    if alpha == 1.0:
-        return SoeApprox(alpha, np.ones(1), np.ones(1), eps_certified=0.0)
-
     ref = engine_kernel(alpha, np.geomspace(t_min, t_max, CERTIFY_SAMPLES))
     k0 = math.ceil(math.log(max(t_max / t_min, 10.0) / eps, q))
     k0 = min(max(k0, 2), 40)
@@ -398,11 +408,11 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
     for big_k in itertools.count(k0, 2):
         edges = build_panels(q, big_k, down)
         for j in range(8, 49, 4):
-            if (edges.size - 1) * j > MAX_NODES:
+            soe = SoeApprox(alpha, *_panel_rule(alpha, edges, j))
+            if soe.n_exp > MAX_NODES:
                 raise BudgetExceeded(
                     f"{edges.size - 1} panels x J = {j} exceeds {MAX_NODES} "
                     f"nodes before certification at eps = {eps:g}")
-            soe = SoeApprox(alpha, *_panel_rule(alpha, edges, j))
             if certify_soe(soe, t_min, t_max, _ref=ref) <= eps:
                 return soe
 

@@ -11,8 +11,8 @@ The paper's two history treatments are provided:
   exponentials that reproduce its N lag weights (5-9x fewer at dt = h^2/2);
 - direct: product-quadrature weights from the kernel antiderivative,
   w_{n,i} = A_beta(t_n - t_i) - A_beta(t_n - t_{i+1}) (O(n) work per step,
-  N stored dof-vectors; the accuracy baseline).  DirectHistory takes its lag
-  sum with the members of MemoryState, so one step loop serves both.
+  N stored dof-vectors; the accuracy baseline).  Each history's one call
+  per step, ``advance(v^{n-1})``, returns w, so one step loop serves both.
 
 The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
 engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
@@ -96,8 +96,8 @@ def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
 
 
 class DirectHistory:
-    """The direct lag sum sum_{i<n} w_{n-i} v^i (weights[l-1] = w_l) over
-    the stored v^0..v^{n-1}, with the members of soe.MemoryState.  It is
+    """advance(v^{n-1}) stores it and returns the direct lag sum sum_{i<n}
+    w_{n-i} v^i (weights[l-1] = w_l), as soe.MemoryState's does.  It is
     taken in blocks of HISTORY_BLOCK steps: at a block's first step n, one
     GEMM applies the block's Toeplitz slice of lag weights to v^0..v^{n-1}
     for every step of the block, and each step adds only its own rows since
@@ -110,13 +110,10 @@ class DirectHistory:
         self.w_rev = weights[::-1].copy()
         self.h = np.zeros((weights.size, n_dofs))
         self.n = 0
-        self.start, self.far = 0, np.zeros((HISTORY_BLOCK, n_dofs))
 
-    def advance(self, v_prev: np.ndarray) -> None:
+    def advance(self, v_prev: np.ndarray) -> np.ndarray:
         self.h[self.n] = v_prev
         self.n += 1
-
-    def total(self) -> np.ndarray:
         n, n_max = self.n, self.w.size
         k = (n - 1) % HISTORY_BLOCK
         if k == 0:
@@ -220,8 +217,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     for n in range(1, n_steps + 1):
         load = assemble_load(pre, times[n - 1], conv_values[n - 1])
         h0 = time.perf_counter()
-        hist.advance(v)
-        stacked = np.concatenate((v, hist.total()))
+        stacked = np.concatenate((v, hist.advance(v)))
         h1 = time.perf_counter()
         v = system.solve(system.rhs_mat @ stacked + load)
         h2 = time.perf_counter()

@@ -268,6 +268,9 @@ class TestExitCodes:
         ("[run]\nfinal_time = 0\n", "final_time 0.0"),
         ("[run]\nfinal_time = -1\n", "final_time -1.0"),
         ("[run]\nfinal_time = inf\n", "final_time inf"),
+        ("[run]\nfinal_time = 800\n",
+         "times[1] = 800 is past the closed form's range: rate * t = 800 "
+         "exceeds log(DBL_MAX) = 709.783"),
         ("[material]\nrho = nan\n", "rho must be finite, got nan"),
         ("[material]\ntau_sigma = nan\n", "tau_sigma must be finite, got nan"),
         ("[material]\nrho = inf\n", "rho must be finite, got inf"),
@@ -280,6 +283,7 @@ class TestExitCodes:
          "cfg.ini: [material] rho = 'abc' is malformed"),
     ], ids=["run-key", "material-key", "section", "default-section",
             "final-time-zero", "final-time-negative", "final-time-inf",
+            "final-time-800",
             "rho-nan", "tau-sigma-nan", "rho-inf", "tau-sigma-inf", "q-one",
             "spatial-ns-float", "mesh-unknown", "rho-text"])
     def test_bad_config_is_a_usage_error(self, text, named, tmp_path, capsys):

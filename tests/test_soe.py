@@ -132,6 +132,10 @@ class TestEngineAgainstNaiveOracle:
             assert np.array_equal(engine_kernel(alpha, times),
                                   engine_oracle.engine_kernel(alpha, times))
 
+    def test_alpha_one_kernel_is_exp(self):
+        for times in _ORDERS.values():
+            assert np.array_equal(engine_kernel(1.0, times), np.exp(-times))
+
     def test_known_entries_are_not_evaluated(self, monkeypatch):
         # the load factor table of a 256-step run: the engine calls exprel
         # on well under the whole matrix of either rule
@@ -148,6 +152,43 @@ class TestEngineAgainstNaiveOracle:
         assert sum(seen) < 0.8 * entries
 
 
+class TestExpSumAgainstNaiveOracle:
+    """theta_weights and eval_soe equal, bit for bit, their sums evaluated
+    on every entry in the same blocks, also where the rates are not sorted
+    (then only the leading run of underflowing columns is skipped)."""
+
+    @pytest.fixture(scope="class")
+    def shuffled(self):
+        built = _run_soe(0.5, 256)
+        order = np.random.default_rng(19).permutation(built.n_exp)
+        return replace(built, nodes=built.nodes[order],
+                       weights=built.weights[order])
+
+    @staticmethod
+    def check(approx, n_steps, tau=0.5):
+        dt = 1.0 / n_steps
+        assert np.array_equal(
+            theta_weights(approx, dt, tau, n_steps),
+            engine_oracle.theta_weights(approx, dt, tau, n_steps))
+        grid = np.concatenate([[0.0], np.geomspace(
+            dt / (10.0 * tau), 1.0 / tau, CERTIFY_SAMPLES), [1e3, 1e6]])
+        assert np.array_equal(eval_soe(approx, grid),
+                              engine_oracle.eval_soe(approx, grid))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("n_steps", [256, 4096])
+    def test_built_sums(self, alpha, n_steps):
+        self.check(_run_soe(alpha, n_steps), n_steps)
+
+    def test_shuffled_nodes(self, shuffled):
+        # the fastest rate is not first, and underflowing columns follow
+        # slower ones: skipping every underflowing column would still be
+        # exact, skipping a count of them from the front would not
+        assert np.argmax(shuffled.nodes) > 0
+        self.check(shuffled, 256)
+        self.check(shuffled, 4096)
+
+
 class TestEngineInputs:
     """The engine refuses bad input with a ValueError that names it,
     rather than failing its quadrature check or returning zeros."""
@@ -161,6 +202,19 @@ class TestEngineInputs:
     def test_engine_kernel_refuses_bad_time(self, bad):
         with pytest.raises(ValueError, match=r"times\[1\] = "):
             engine_kernel(0.5, np.array([0.1, bad, 0.3]))
+
+    def test_exp_convolution_refuses_times_past_its_range(self):
+        # e^{rate t} overflows past rate t = log(DBL_MAX) = 709.78: t = 709
+        # is evaluated as before, t = 710 is refused rather than failing the
+        # rule check with NaN, and rate 0 has no such bound
+        for rate, t in ((1.0, 709.0), (0.0, 800.0)):
+            assert np.array_equal(
+                exp_convolution(0.5, 0.5, [t], rate),
+                engine_oracle.exp_convolution(0.5, 0.5, [t], rate))
+        with pytest.raises(ValueError, match=(
+                r"^times\[1\] = 710 is past the closed form's range: rate "
+                r"\* t = 710 exceeds log\(DBL_MAX\) = 709\.783$")):
+            exp_convolution(0.5, 0.5, [1.0, 710.0, 720.0], 1.0)
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan])
     def test_exp_convolution_refuses_bad_tau(self, tau):
@@ -246,10 +300,13 @@ class TestBuildAndCertify:
                 by_integral, abs=1e-12)
 
     def test_alpha_one_is_exact_single_exponential(self):
-        soe = build_soe(1.0, 1e-6, 10.0, 1e-4, 2.0)
-        assert soe.nodes.tolist() == [1.0]
-        assert soe.weights.tolist() == [1.0]
-        assert soe.eps_certified == 0.0
+        # one node for any q, also one whose panels would exceed the node
+        # budget at alpha < 1
+        for q in (10.0, 1.0001):
+            soe = build_soe(1.0, 1e-6, q, 1e-4, 2.0)
+            assert soe.nodes.tolist() == [1.0]
+            assert soe.weights.tolist() == [1.0]
+            assert soe.eps_certified == 0.0
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):

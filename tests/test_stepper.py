@@ -30,7 +30,6 @@ class TestMemoryState:
     def test_initially_zero(self, soe):
         mem = MemoryState(soe, 0.1, 0.5, 6)
         assert np.all(mem.h == 0.0)
-        assert np.all(mem.total() == 0.0)
 
     def test_single_advance(self, soe):
         mem = MemoryState(soe, 0.1, 0.5, 3)
@@ -81,16 +80,16 @@ class TestMemoryState:
         vs = np.random.default_rng(17).standard_normal((200, n_dofs))
         for v in vs:
             v_in = v.copy()
-            mem.advance(v_in)
+            total = mem.advance(v_in)
             assert np.array_equal(v_in, v)
             h = h * mem.decay[:, None]
             h = h + mem.gain[:, None] * v
             scale = scale * mem.decay[:, None] + mem.gain[:, None] * abs(v)
             assert np.all(np.abs(mem.h - h) <= 1e-13 * scale)
             total_scale = scale.sum(axis=0)
-            assert np.all(np.abs(mem.total() - h.sum(axis=0))
+            assert np.all(np.abs(total - h.sum(axis=0))
                           <= 1e-13 * total_scale)
-            assert np.all(np.abs(mem.total() - mem.h.sum(axis=0))
+            assert np.all(np.abs(total - mem.h.sum(axis=0))
                           <= 1e-13 * total_scale)
             assert mem.h.shape == (soe.n_exp, n_dofs)
             assert mem.h.dtype == np.float64 and mem.h.flags.c_contiguous
@@ -118,9 +117,8 @@ class TestWeights:
         mem = MemoryState(soe, dt, tau, 3)
         th = theta_weights(soe, dt, tau, 6)
         for n in range(1, 7):
-            mem.advance(vs[n - 1])
             expected = th[n - 1::-1] @ vs[:n]
-            assert np.allclose(mem.total(), expected, atol=1e-12)
+            assert np.allclose(mem.advance(vs[n - 1]), expected, atol=1e-12)
 
     def test_direct_weights_sum_to_antiderivative(self):
         for alpha, n in ((0.5, 20), (0.3, 1500), (0.8, 1500)):
@@ -145,10 +143,10 @@ class TestWeights:
 
 class TestHistoryContract:
     @pytest.mark.parametrize("scheme", ["fast", "direct"])
-    def test_total_is_the_lag_sum(self, soe, scheme):
-        # after each advance, total() is sum_{i<n} w_{n-i} v^i with the
-        # scheme's lag weights; N = 70 crosses the direct block starts at
-        # 33 and 65 and ends inside a partial block
+    def test_advance_returns_the_lag_sum(self, soe, scheme):
+        # advance(v^{n-1}) returns sum_{i<n} w_{n-i} v^i with the scheme's
+        # lag weights and leaves v^{n-1} as it was; N = 70 crosses the
+        # direct block starts at 33 and 65 and ends inside a partial block
         n_max, n_dofs, dt, tau = 70, 5, 0.01, 0.5
         if scheme == "fast":
             w = theta_weights(soe, dt, tau, n_max)
@@ -158,13 +156,14 @@ class TestHistoryContract:
             w = direct_weights(Material(), dt, n_max)
             hist = DirectHistory(w, n_dofs)
             assert hist.nbytes == n_max * n_dofs * 8
-        assert np.array_equal(hist.total(), np.zeros(n_dofs))
         v = np.random.default_rng(13).standard_normal((n_max, n_dofs))
         for n in range(1, n_max + 1):
-            hist.advance(v[n - 1])
+            v_in = v[n - 1].copy()
+            got = hist.advance(v_in)
+            assert np.array_equal(v_in, v[n - 1]), n
             want = w[n - 1::-1] @ v[:n]
             scale = np.abs(w[n - 1::-1]) @ np.abs(v[:n])
-            assert np.all(np.abs(hist.total() - want) <= 1e-12 * scale), n
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), n
 
 
 class TestTimeStepSystem:
