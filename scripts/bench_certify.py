@@ -4,7 +4,7 @@
     python3 scripts/bench_certify.py --label change
     python3 scripts/bench_certify.py --label parent --src OTHER_CHECKOUT/src
     python3 scripts/bench_certify.py --pairs PARENT_CHECKOUT CHANGE_CHECKOUT \\
-        --workload temporal-ladder --seeds 601-610
+        --workload direct-long --seeds 701-710
 
 The first two forms time the reference values that certify a run's SOE, on
 the grid ``stepper.run``'s ``build_soe`` call certifies on (CERTIFY_SAMPLES
@@ -28,7 +28,8 @@ and is merged into the output file under ``records[label]``.
 
 The third form is ``scripts/bench_history.py --pairs``: it runs
 ``perfbench/run.py`` in two checkouts, alternating which goes first, and
-merges the pairs under ``perfbench_pairs[workload]``.
+merges the pairs under ``perfbench_pairs[workload]``.  Its default is
+direct-long, the workload whose setup is mostly these tables.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def certify_record(src: Path) -> dict:
 
 def main() -> None:
     bench_main(__doc__, certify_record, "BENCH_certify.json",
-               "temporal-ladder", "601-610")
+               "direct-long", "701-710")
 
 
 if __name__ == "__main__":

@@ -23,19 +23,27 @@ the grid that certifies the run's SOE, every entry printed with repr, and
 the exponential sums of the fast runs among them: each built sum's nodes,
 weights and eps_certified, its compressed sum's nodes, weights and
 lag_deviation, and the lag weights theta_1..theta_N of both, by repr.
-Prints one IDENTICAL or DIFFERENT line per case, a DIFFERENT pinned case
-with the largest relative change of its errors, max |after/before - 1|;
-exits 1 on any difference or failed run.
+These three kinds of case print one ``label<TAB>repr`` line per table,
+the label ending in the table's name.
+Prints one IDENTICAL or DIFFERENT line per case; a DIFFERENT case of those
+kinds also gets the largest relative change, max |after/before - 1|, of
+each table name (``error`` for the pinned errors, ``I``, ``w`` and ``beta``
+for the engine tables, ``built.nodes`` ... ``compressed.theta`` for the
+sums) and names every table whose length changed (a node count of a sum).
+Exits 1 on any difference or failed run.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMING_COLUMNS = ("wall_total", "wall_history", "wall_solve")
@@ -75,7 +83,7 @@ for group in plan(workload):
                           q=cfg.q, pre=pre, conv_values=conv)
         err = problems.exact_error(msh, dofs, res.coeffs, problem,
                                    cfg.final_time)
-        print(run.key, repr(err))
+        print(f"{run.key} error", repr(err), sep="\t")
 """
 
 # The engine tables of every distinct (alpha, N) of the workloads' runs.
@@ -103,7 +111,7 @@ for workload in ("spatial-fast", "temporal-ladder", "direct-long"):
             "beta": soe.engine_kernel(run.alpha, grid)}
         for name, table in tables.items():
             print(f"a={run.alpha} N={run.n_steps} {name}",
-                  repr(table.tolist()))
+                  repr(table.tolist()), sep="\t")
 """
 
 # The sums of every distinct (alpha, N) of the fast workloads' runs, built
@@ -126,13 +134,15 @@ for workload in ("spatial-fast", "temporal-ladder"):
                               t_min=dt / (10.0 * tau),
                               t_max=cfg.final_time / tau)
         small = soe.compress_soe(built, dt, tau, run.n_steps)
-        for name, approx, figure in (("built", built, built.eps_certified),
-                                     ("compressed", small,
-                                      small.lag_deviation)):
+        for name, approx, figure in (
+                ("built", built, ("eps_certified", built.eps_certified)),
+                ("compressed", small, ("lag_deviation", small.lag_deviation))):
             theta = soe.theta_weights(approx, dt, tau, run.n_steps)
-            print(f"a={run.alpha} N={run.n_steps} {name}",
-                  repr(approx.nodes.tolist()), repr(approx.weights.tolist()),
-                  repr(figure), repr(theta.tolist()))
+            for part, value in (("nodes", approx.nodes.tolist()),
+                                ("weights", approx.weights.tolist()), figure,
+                                ("theta", theta.tolist())):
+                print(f"a={run.alpha} N={run.n_steps} {name}.{part}",
+                      repr(value), sep="\t")
 """
 
 # name -> (python source, its argv; OUT and the CONFIGS keys are filled
@@ -173,6 +183,8 @@ CASES = {
     "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),
     "SOE sums": (SOE_SUMS, [str(ROOT / "perfbench")]),
 }
+#: the case sources that print label<TAB>repr tables
+TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS)
 
 
 def _without_timings(name: str, data: bytes) -> bytes:
@@ -208,11 +220,32 @@ def run_case(src: Path, source: str, argv: list[str]) -> dict[str, bytes]:
     return outputs
 
 
-def _drift(before: bytes, after: bytes) -> float:
-    """Largest |after / before - 1| over the errors of a pinned case."""
-    old, new = (dict(line.split() for line in out.decode().splitlines())
-                for out in (before, after))
-    return max(abs(float(new[key]) / float(old[key]) - 1.0) for key in old)
+def _tables(out: bytes) -> dict[str, np.ndarray]:
+    """label -> values of a case's ``label<TAB>repr`` lines."""
+    tables = {}
+    for line in out.decode().splitlines():
+        label, value = line.split("\t")
+        value = ast.literal_eval(value)
+        tables[label] = np.array([] if value is None else value, dtype=float)
+    return tables
+
+
+def _drift(before: bytes, after: bytes) -> list[str]:
+    """max |after / before - 1| per table name (a label's last word), and
+    each label whose table changed length."""
+    old, new = _tables(before), _tables(after)
+    worst, resized = {}, []
+    for label in sorted(old.keys() | new.keys()):
+        was, now = old.get(label, np.array([])), new.get(label, np.array([]))
+        name = label.rsplit(" ", 1)[-1]
+        if was.size != now.size:
+            resized.append(f"{label} {was.size} -> {now.size} entries")
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(was == now, 0.0, np.abs(now / was - 1.0))
+        worst[name] = max(worst.get(name, 0.0), float(rel.max(initial=0.0)))
+    return ["max |after/before - 1|: " + ", ".join(
+        f"{name} {value:.2e}" for name, value in worst.items())] + resized
 
 
 def check_tree(src: Path) -> None:
@@ -243,9 +276,8 @@ def main(argv: list[str]) -> int:
             continue
         diff = sorted(k for k in before.keys() | after.keys()
                       if before.get(k) != after.get(k))
-        if diff and name.startswith("pinned"):
-            diff.append(f"max |after/before - 1| = "
-                        f"{_drift(before['stdout'], after['stdout']):.2e}")
+        if diff and source in TABULAR:
+            diff += _drift(before["stdout"], after["stdout"])
         print(f"{'IDENTICAL' if not diff else 'DIFFERENT':10s} {name}"
               + (f" ({', '.join(diff)})" if diff else ""), flush=True)
         same = same and not diff

@@ -23,13 +23,16 @@ A fixed, much tighter panel rule is the kernel engine: :func:`exp_convolution`
 gives I(t) and the kernel antiderivative for whole time tables at once, and
 :func:`engine_kernel` the kernel values that certify a built sum.  Its rates
 are non-increasing, so in each (times x rates) block the entries whose value
-is known exactly are a prefix and a suffix of the columns; the engine writes
-them instead of evaluating them (e^{-a t} = 0 where a t > 746, exprel(x) =
--1/x where x < -40, exprel at the slow rates) and reduces the same matrix
-as before; that kernel sum, _exp_sum, also serves eval_soe and
-theta_weights.  Each Gauss-Legendre rule is built once per point count.
-The tests check the engine against ``mlf``'s scalar series/quadrature and
-against its rule evaluated on every entry.
+is known exactly are a prefix and a suffix of the columns.  The engine
+evaluates only the middle columns and reduces them with one matrix-vector
+product; the known runs enter in closed form (e^{-a t} = 0 where a t > 746
+and 1 where a t <= 2^-60; exprel(x) = -1/x where x < -40, and
+exprel(rate t) at the slow rates).  That kernel sum, _exp_sum, also serves
+eval_soe and theta_weights.  Each Gauss-Legendre rule is built once per
+point count.  The tests check the engine against ``mlf``'s scalar
+series/quadrature and against its rule evaluated on every entry: the same
+entries are 0 and the others agree within 16 eps relative, every term
+being positive.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ ENGINE_TOL = 1e-9
 EPS = np.finfo(float).eps
 #: log(DBL_MAX): exp_convolution's closed form overflows past rate t = LOG_MAX.
 LOG_MAX = math.log(np.finfo(float).max)
-#: Entries of each (times x nodes) temporary: 128 KB, so tables add no RSS.
-ENGINE_BLOCK = 1 << 14
+#: Entries of each (times x nodes) temporary: 512 KB.  Of 2^15..2^17,
+#: 2^17 ran the tables a few % faster but added 0.3 MB to a direct
+#: run's peak RSS; 2^16 adds none.
+ENGINE_BLOCK = 1 << 16
 
 #: Compression: the compressed sum's lag weights must match the built sum's
 #: within COMPRESS_RTOL * theta_1 on every lag 1..N.  The fit uses lags
@@ -177,13 +182,17 @@ class MemoryState:
 
 
 def _exp_sum(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_j b_j e^{-a_j t} for each entry of t as m @ b, the leading run of
-    m's columns with a_j min(t) > 746 (exp underflows) written as 0."""
+    """sum_j b_j e^{-a_j t} for each entry of t.  Only the middle columns of
+    the (t x a) matrix are evaluated and reduced by @ b: the leading run
+    with a_j min(t) > 746 (exp underflows to 0) is skipped, and the trailing
+    run with a_j max(t) <= 2^-60 (exp(-x) is 1.0 exactly) enters as
+    sum_j b_j.  Runs, not every such column, so unsorted rates stay right."""
     lo = np.count_nonzero(np.logical_and.accumulate(
         np.min(t, initial=math.inf) * a > 746.0))
-    m = np.zeros(t.shape + a.shape)
-    np.exp(np.multiply.outer(-t, a[lo:]), out=m[..., lo:])
-    return m @ b
+    hi = max(lo, a.size - np.count_nonzero(np.logical_and.accumulate(
+        np.max(t, initial=0.0) * a[::-1] <= 2.0 ** -60)))
+    m = np.multiply.outer(-t, a[lo:hi])
+    return np.exp(m, out=m) @ b[lo:hi] + b[hi:].sum()
 
 
 def theta_weights(soe: SoeApprox, dt: float, tau_sigma: float,
@@ -331,9 +340,12 @@ def exp_convolution(alpha: float, tau_sigma: float, times,
     With beta = sum_j b_j e^{-a_j t/tau} the integral closes to
     t e^{-rate t} sum_j b_j exprel(x_j), x_j = (rate - a_j/tau) t, stable
     for a_j/tau near rate: rate = 1 gives the load factor I(t), rate = 0
-    the kernel antiderivative.  Checked as in _engine_sum.  Exact entries
-    are written, not evaluated: -1/x_j where x_j < -40, exprel(rate t) where
-    rate - a_j/tau rounds to rate, and 1 where rate = 0 and |x_j| < eps.
+    the kernel antiderivative.  Checked as in _engine_sum.  Only the middle
+    columns are evaluated, as expm1(x_j)/x_j (1 at x_j = 0), and reduced by
+    @ b; the exact runs enter as sums: the prefix with x_j < -40 (entries
+    -1/x_j) as -e^{-rate t} sum_j b_j/c_j, c_j = rate - a_j/tau, and the
+    suffix where c_j rounds to rate, or rate = 0 and |x_j| < eps, as
+    exprel(rate t) sum_j b_j.
     The closed form overflows where rate t > LOG_MAX: such a time raises
     ValueError.
     """
@@ -353,11 +365,15 @@ def exp_convolution(alpha: float, tau_sigma: float, times,
         lo = np.count_nonzero(t.min() * c < -40.0)
         hi = max(lo, np.count_nonzero(c != rate) if rate else
                  np.count_nonzero(np.abs(t.max() * c) >= EPS))
-        m = np.multiply.outer(t, c)    # the arguments x_j
-        np.divide(-1.0, m[:, :lo], out=m[:, :lo])
-        exprel(m[:, lo:hi], out=m[:, lo:hi])
-        m[:, hi:] = exprel(rate * t)[:, None]    # x_j = rate t or ~0
-        return t * np.exp(-rate * t) * (m * b).sum(axis=1)
+        m = np.multiply.outer(t, c[lo:hi])    # the middle arguments x_j
+        e = np.expm1(m)
+        with np.errstate(invalid="ignore"):
+            np.divide(e, m, out=e)
+        e[m == 0.0] = 1.0
+        damp = np.exp(-rate * t)
+        # -1/x_j before lo, exprel(rate t) from hi: closed-form sums
+        return (t * damp * (e @ b[lo:hi] + exprel(rate * t) * b[hi:].sum())
+                - damp * (b[:lo] / c[:lo]).sum())
 
     return _engine_sum(alpha, times, rule_sum)
 
@@ -389,8 +405,9 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
 
     Escalation: start from K estimated from the range/tolerance, J = 8;
     certify against engine_kernel; on failure raise J by 4 up to 48, then K
-    by 2, until the rule has more than MAX_NODES nodes.  At alpha = 1 every
-    rule is the exact one-term sum e^{-t}, certified to 0 for any q.
+    by 2, until the rule would have more than MAX_NODES nodes, which is
+    refused before its panel edges are built.  At alpha = 1 every rule is
+    the exact one-term sum e^{-t}, certified to 0 for any q.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -403,16 +420,20 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
     ref = engine_kernel(alpha, np.geomspace(t_min, t_max, CERTIFY_SAMPLES))
     k0 = math.ceil(math.log(max(t_max / t_min, 10.0) / eps, q))
     k0 = min(max(k0, 2), 40)
-    # Depth below 1 needed so some panel resolves rates up to ~1/t_min.
-    down = max(math.ceil(alpha * math.log(1.0 / min(t_min, 1.0), q)), 0) + 1
+    # Depth below 1 needed so some panel resolves rates up to ~1/t_min;
+    # alpha = 1 needs none, its one rate being 1.
+    down = (max(math.ceil(alpha * math.log(1.0 / min(t_min, 1.0), q)), 0) + 1
+            if alpha < 1.0 else 0)
     for big_k in itertools.count(k0, 2):
-        edges = build_panels(q, big_k, down)
+        panels = big_k + down + 1    # a J-point rule has panels * J nodes
         for j in range(8, 49, 4):
-            soe = SoeApprox(alpha, *_panel_rule(alpha, edges, j))
-            if soe.n_exp > MAX_NODES:
+            if panels * j > MAX_NODES:
                 raise BudgetExceeded(
-                    f"{edges.size - 1} panels x J = {j} exceeds {MAX_NODES} "
+                    f"{panels} panels x J = {j} exceeds {MAX_NODES} "
                     f"nodes before certification at eps = {eps:g}")
+            if j == 8:
+                edges = build_panels(q, big_k, down)
+            soe = SoeApprox(alpha, *_panel_rule(alpha, edges, j))
             if certify_soe(soe, t_min, t_max, _ref=ref) <= eps:
                 return soe
 

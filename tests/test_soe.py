@@ -1,6 +1,7 @@
 """Tests for the sum-of-exponentials kernel compression."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,15 +11,26 @@ from hypothesis import strategies as st
 from scipy.special import exprel
 
 import engine_oracle
-from fracvisco import soe as soe_module
 from fracvisco.errors import BudgetExceeded, QuadratureFailure
 from fracvisco.mlf import kernel_beta, ml_integral
-from fracvisco.soe import (CERTIFY_SAMPLES, COMPRESS_RTOL, SoeApprox,
-                           _engine_rules, _panel_rule, build_panels, build_soe,
-                           certify_soe, compress_soe, engine_kernel, eval_soe,
-                           exp_convolution, theta_weights, write_table)
+from fracvisco.soe import (CERTIFY_SAMPLES, COMPRESS_RTOL, LOG_MAX,
+                           SoeApprox, _engine_rules, _panel_rule, build_panels,
+                           build_soe, certify_soe, compress_soe, engine_kernel,
+                           eval_soe, exp_convolution, theta_weights,
+                           write_table)
 
 DBL_EPS = np.finfo(float).eps
+#: Largest relative gap of an engine sum to its naive oracle: every term is
+#: positive, so only the summation order and the last bits of exprel differ
+#: (10.2 eps the worst measured, at alpha = 0.99).
+ORACLE_RTOL = 16 * DBL_EPS
+
+
+def assert_matches_oracle(got, want):
+    """The same entries are 0, the others agree within ORACLE_RTOL."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= ORACLE_RTOL * np.abs(want))
 
 
 class TestPanels:
@@ -105,6 +117,27 @@ class TestExactEntryIdentities:
                             np.geomspace(1e4, 1e300, 100_001)])
         assert np.all(np.exp(-x) == 0.0)
 
+    def test_exp_is_one_up_to_2_pow_minus_60(self):
+        # _exp_sum adds the weights of the trailing columns with
+        # a_j max(t) <= 2^-60 instead of evaluating them
+        x = np.concatenate([np.linspace(0.0, 2.0 ** -60, 400_001),
+                            np.geomspace(1e-300, 2.0 ** -60, 100_001)])
+        assert np.all(np.exp(-x) == 1.0)
+
+    def test_expm1_ratio_is_minus_reciprocal_from_minus_40(self):
+        # exp_convolution's middle columns meet its closed-form prefix
+        x = -np.concatenate([np.linspace(40.0, 1e4, 400_001),
+                             np.geomspace(1e4, 1e300, 100_001)])
+        assert np.array_equal(np.expm1(x) / x, -1.0 / x)
+
+    def test_expm1_ratio_is_within_2_ulp_of_exprel(self):
+        # the middle columns take expm1(x)/x for scipy's exprel
+        tiny = np.geomspace(1e-300, 1e-3, 100_001)
+        x = np.concatenate([np.linspace(-40.0, LOG_MAX, 1_000_001),
+                            tiny, -tiny])
+        assert np.all(np.abs(np.expm1(x) / x - exprel(x))
+                      <= 2.0 * np.spacing(exprel(x)))
+
 
 #: Table times, 0, 1e-12 and 50 among them, in ascending and shuffled order
 #: (shuffled blocks span wide ranges, sorted ones long known prefixes).
@@ -115,47 +148,63 @@ _ORDERS = {"sorted": np.sort(_TIMES),
 
 
 class TestEngineAgainstNaiveOracle:
-    """The engine equals, bit for bit, its rule evaluated on every entry."""
+    """The engine matches its rule evaluated on every entry: the same
+    zeros, the other entries within ORACLE_RTOL."""
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
     @pytest.mark.parametrize("tau", [0.05, 0.5, 10.0])
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0, 7.0])
     def test_exp_convolution(self, alpha, tau, rate):
         for times in _ORDERS.values():
-            assert np.array_equal(
+            assert_matches_oracle(
                 exp_convolution(alpha, tau, times, rate),
                 engine_oracle.exp_convolution(alpha, tau, times, rate))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
     def test_engine_kernel(self, alpha):
         for times in _ORDERS.values():
-            assert np.array_equal(engine_kernel(alpha, times),
+            assert_matches_oracle(engine_kernel(alpha, times),
                                   engine_oracle.engine_kernel(alpha, times))
 
     def test_alpha_one_kernel_is_exp(self):
         for times in _ORDERS.values():
             assert np.array_equal(engine_kernel(1.0, times), np.exp(-times))
 
-    def test_known_entries_are_not_evaluated(self, monkeypatch):
-        # the load factor table of a 256-step run: the engine calls exprel
-        # on well under the whole matrix of either rule
+    @staticmethod
+    def evaluated_share(monkeypatch, ufunc, call, rows):
+        """Share of the entries of both rules' (rows x rates) matrices that
+        call passes to numpy's ufunc, which only the middle columns use."""
         seen = []
+        evaluate = getattr(np, ufunc)
 
-        def counting_exprel(x, **kwargs):
+        def counting(x, *args, **kwargs):
             seen.append(np.size(x))
-            return exprel(x, **kwargs)
+            return evaluate(x, *args, **kwargs)
 
-        monkeypatch.setattr(soe_module, "exprel", counting_exprel)
+        monkeypatch.setattr(np, ufunc, counting)
+        call()
+        monkeypatch.undo()
+        return sum(seen) / (rows * sum(a.size for a, _ in _engine_rules(0.5)))
+
+    def test_known_entries_are_not_evaluated(self, monkeypatch):
+        # the load factor table of a 256-step run
         times = np.arange(1, 257) / 256.0
-        exp_convolution(0.5, 0.5, times, 1.0)
-        entries = times.size * sum(a.size for a, _ in _engine_rules(0.5))
-        assert sum(seen) < 0.8 * entries
+        assert self.evaluated_share(
+            monkeypatch, "expm1",
+            lambda: exp_convolution(0.5, 0.5, times, 1.0), times.size) < 0.8
+
+    def test_known_kernel_entries_are_not_evaluated(self, monkeypatch):
+        # the grid that certifies the SOE of a 256-step run (tau = 0.5)
+        grid = np.geomspace(1.0 / 1280.0, 2.0, CERTIFY_SAMPLES)
+        assert self.evaluated_share(
+            monkeypatch, "exp", lambda: engine_kernel(0.5, grid),
+            grid.size) < 0.5
 
 
 class TestExpSumAgainstNaiveOracle:
-    """theta_weights and eval_soe equal, bit for bit, their sums evaluated
-    on every entry in the same blocks, also where the rates are not sorted
-    (then only the leading run of underflowing columns is skipped)."""
+    """theta_weights and eval_soe match their sums evaluated on every
+    entry, as the engine does, also where the rates are not sorted (then
+    only the leading and trailing runs of known columns are written)."""
 
     @pytest.fixture(scope="class")
     def shuffled(self):
@@ -167,12 +216,12 @@ class TestExpSumAgainstNaiveOracle:
     @staticmethod
     def check(approx, n_steps, tau=0.5):
         dt = 1.0 / n_steps
-        assert np.array_equal(
+        assert_matches_oracle(
             theta_weights(approx, dt, tau, n_steps),
             engine_oracle.theta_weights(approx, dt, tau, n_steps))
         grid = np.concatenate([[0.0], np.geomspace(
             dt / (10.0 * tau), 1.0 / tau, CERTIFY_SAMPLES), [1e3, 1e6]])
-        assert np.array_equal(eval_soe(approx, grid),
+        assert_matches_oracle(eval_soe(approx, grid),
                               engine_oracle.eval_soe(approx, grid))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.8])
@@ -208,7 +257,7 @@ class TestEngineInputs:
         # is evaluated as before, t = 710 is refused rather than failing the
         # rule check with NaN, and rate 0 has no such bound
         for rate, t in ((1.0, 709.0), (0.0, 800.0)):
-            assert np.array_equal(
+            assert_matches_oracle(
                 exp_convolution(0.5, 0.5, [t], rate),
                 engine_oracle.exp_convolution(0.5, 0.5, [t], rate))
         with pytest.raises(ValueError, match=(
@@ -307,6 +356,26 @@ class TestBuildAndCertify:
             assert soe.nodes.tolist() == [1.0]
             assert soe.weights.tolist() == [1.0]
             assert soe.eps_certified == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_q_near_one_builds_no_edges(self, alpha):
+        # q = 1 + 1e-9 asks for ~4.6e9 panels below 1: alpha = 0.5 is
+        # refused and alpha = 1 stays exact, neither building those edges
+        engine_kernel(alpha, [1.0])    # warm the rule-building caches
+        tracemalloc.start()
+        try:
+            if alpha < 1.0:
+                with pytest.raises(BudgetExceeded,
+                                   match=r"^\d{10} panels x J = 8 "):
+                    build_soe(alpha, 1e-6, 1.0 + 1e-9, 1e-4, 2.0)
+            else:
+                soe = build_soe(alpha, 1e-6, 1.0 + 1e-9, 1e-4, 2.0)
+                assert soe.nodes.tolist() == soe.weights.tolist() == [1.0]
+                assert soe.eps_certified == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
