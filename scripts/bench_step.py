@@ -13,8 +13,9 @@ quad n = 64, alpha = 0.5, N = 2000 and 4000, eps = 1e-6), with the source
 tree given by ``--src`` (default: this repository's ``src``) and one BLAS
 thread.  Each case records ``wall_history``, ``wall_solve`` and
 ``wall_total`` of ``stepper.run`` divided by N (the median of 3 runs in
-this process), N_exp and n_dofs; the step's right-hand-side product of
-[M/dt  B] with (v, w) is in ``wall_solve``.  Each case also times
+this process), N_exp and n_dofs.  The step's right-hand-side product of
+[M/dt  B  P] with (v, w, f_n), load included, is in ``wall_solve``; the
+gather of (v, w, f_n) is in ``wall_history``.  Each case also times
 perfbench's reference work before and after its samples (``reference_s``)
 and gives the per-step medians in reference seconds as well (``*_ref_s``),
 as ``bench_history.py`` does.  The record also holds the machine and is

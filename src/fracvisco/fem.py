@@ -171,7 +171,9 @@ def _elastic_tensor(mu: float, lam: float) -> np.ndarray:
 def _matrix(mesh: Mesh, dofs: DofMap, table: str,
             tensor: np.ndarray) -> sp.csr_matrix:
     """Sum over cells of sum_q w_q B_q^T D B_q, with B the class's `table`
-    ("values" or "strains") and D = tensor."""
+    ("values" or "strains") and D = tensor.  Only the element matrix's
+    nonzero entries are scattered, so the mass matrix stores none of its
+    cross-component zeros."""
     n = dofs.n_dofs
     rows, cols, data = [], [], []
     for cls, ed, _ in _classes(mesh, dofs):
@@ -180,10 +182,10 @@ def _matrix(mesh: Mesh, dofs: DofMap, table: str,
         # negatives, so entries whose integrals cancel across cells stay 0
         emat = np.apply_along_axis(math.fsum, -1, np.einsum(
             "q,qri,rs,qsj->ijq", cls.weights, b, tensor, b))
-        nc, m = ed.shape
-        rows.append(np.repeat(ed, m, axis=1).ravel())
-        cols.append(np.tile(ed, (1, m)).ravel())
-        data.append(np.broadcast_to(emat.ravel(), (nc, m * m)).ravel())
+        i, j = np.nonzero(emat)
+        rows.append(ed[:, i].ravel())
+        cols.append(ed[:, j].ravel())
+        data.append(np.broadcast_to(emat[i, j], (ed.shape[0], i.size)).ravel())
     mat = sp.coo_matrix((np.concatenate(data),
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n + 1, n + 1)).tocsr()

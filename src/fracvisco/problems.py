@@ -2,10 +2,11 @@
 
 Both built-in problems have exact velocity v(x, t) = g(t) V(x) with
 g(t) = e^{-t} and V vanishing on the boundary of the unit square.  Because
-the solution separates, the weak-form load factors into three fixed dof
-vectors scaled by g'(t), g(t), and the kernel convolution factor
-I(t) = int_0^t beta(t - s) e^{-s} ds, so per-step load assembly is a linear
-combination rather than a fresh quadrature.
+the solution separates, the weak-form load at t is P (g'(t), g(t), -I(t))
+with P = [p_mass  p_a  p_b] three fixed dof vectors and
+I(t) = int_0^t beta(t - s) e^{-s} ds the kernel convolution factor, so a
+step's load is three columns of its right-hand-side product rather than a
+fresh quadrature; :func:`load_factors` tabulates the factors of a run.
 
 :func:`precompute_loads` gathers everything a run needs that depends on the
 mesh and the problem but not on the time step: those three vectors, the
@@ -109,7 +110,7 @@ def get_problem(name: str, material: Material | None = None,
 
 
 # ---------------------------------------------------------------------------
-# load precomputation and assembly
+# load precomputation and factors
 
 @dataclass(frozen=True)
 class LoadPrecomputation:
@@ -163,15 +164,15 @@ def conv_factor_grid(alpha: float, tau_sigma: float,
     return exp_convolution(alpha, tau_sigma, times, 1.0)
 
 
-def assemble_load(pre: LoadPrecomputation, t: float,
-                  conv_value: float) -> np.ndarray:
-    """Weak-form load g'(t) p_mass + g(t) p_a - I(t) p_b.
+def load_factors(times: np.ndarray, conv_values: np.ndarray) -> np.ndarray:
+    """The (N, 3) table of load factors (g'(t_n), g(t_n), -I(t_n)): row n
+    times [p_mass  p_a  p_b] is the weak-form load at t_n.
 
-    conv_value is I(t), taken from the run's table of
-    :func:`conv_factor_grid`; g = e^{-t} gives g' = -g.
+    conv_values is I(t_n), the run's table of :func:`conv_factor_grid`;
+    g = e^{-t} gives g' = -g.
     """
-    g = math.exp(-t)
-    return -g * pre.p_mass + g * pre.p_a - conv_value * pre.p_b
+    g = np.exp(-times)
+    return np.column_stack((-g, g, -conv_values))
 
 
 def exact_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray,

@@ -29,10 +29,10 @@ product; the known runs enter in closed form (e^{-a t} = 0 where a t > 746
 and 1 where a t <= 2^-60; exprel(x) = -1/x where x < -40, and
 exprel(rate t) at the slow rates).  That kernel sum, _exp_sum, also serves
 eval_soe and theta_weights.  Each Gauss-Legendre rule is built once per
-point count.  The tests check the engine against ``mlf``'s scalar
-series/quadrature and against its rule evaluated on every entry: the same
-entries are 0 and the others agree within 16 eps relative, every term
-being positive.
+point count, and the engine's panel rules once per alpha.  The tests check
+the engine against ``mlf``'s scalar series/quadrature and against its rule
+evaluated on every entry: the same entries are 0 and the others agree
+within 16 eps relative, every term being positive.
 """
 
 from __future__ import annotations
@@ -280,9 +280,18 @@ def eval_soe(soe: SoeApprox, t) -> np.ndarray | float:
     return float(val) if np.isscalar(t) or t_arr.ndim == 0 else val
 
 
-def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rates a_j and weights b_j, E_alpha(-t**alpha) ~= sum_j b_j e^{-a_j t},
-    of the ENGINE_J and ENGINE_J_CHECK rules.
+def _engine_rules(alpha: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only rates a_j and weights b_j,
+    E_alpha(-t**alpha) ~= sum_j b_j e^{-a_j t}, of the ENGINE_J and
+    ENGINE_J_CHECK rules, built once per alpha and point counts (keyed on
+    the counts read here, so a changed ENGINE_J_CHECK takes effect)."""
+    return _graded_rules(alpha, (ENGINE_J, ENGINE_J_CHECK))
+
+
+@functools.lru_cache(maxsize=16)
+def _graded_rules(alpha: float, js: tuple[int, ...]
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The panel rules of _engine_rules with j points per panel, j in js.
 
     Geometric edges with ratio min(4, 16^alpha) bound the rate change per
     panel.  For alpha near 1 the weight's poles -cos(alpha pi) +- i
@@ -297,7 +306,10 @@ def _engine_rules(alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
         x0 + s * d * 2.0 ** k for k in range(math.ceil(math.log2(8.0 / d)))
         for s in (-1.0, 1.0)])
     edges = np.unique(edges[(edges >= 0.0) & (edges <= geometric[-1])])
-    return [_panel_rule(alpha, edges, j) for j in (ENGINE_J, ENGINE_J_CHECK)]
+    rules = tuple(_panel_rule(alpha, edges, j) for j in js)
+    for arr in itertools.chain.from_iterable(rules):
+        arr.flags.writeable = False
+    return rules
 
 
 def _engine_times(times) -> np.ndarray:

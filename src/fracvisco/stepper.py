@@ -1,7 +1,8 @@
 """Backward-Euler time stepping for the velocity-form viscoelastic equation.
 
-Each step solves (M/dt + A) v^n = [M/dt  B] (v^{n-1}, w) + load, w the lag
-sum of v^0..v^{n-1}, with one sparse product for the right-hand side and the
+Each step solves (M/dt + A) v^n = [M/dt  B  P] (v^{n-1}, w, f_n), w the lag
+sum of v^0..v^{n-1}, P = [p_mass  p_a  p_b] the load vectors and f_n the
+step's load factors, with one sparse product for the right-hand side and the
 band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once per run.
 The paper's two history treatments are provided:
 
@@ -15,7 +16,8 @@ The paper's two history treatments are provided:
   per step, ``advance(v^{n-1})``, returns w, so one step loop serves both.
 
 The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
-engine :func:`fracvisco.soe.exp_convolution`.  A run whose N-sized arrays
+engine :func:`fracvisco.soe.exp_convolution`; the run tabulates the load
+factors f_n = (g'(t_n), g(t_n), -I(t_n)) once.  A run whose N-sized arrays
 exceed the available physical memory raises BudgetExceeded up front.
 
 The matrices A, M and B, the load vectors and the Ritz initial datum do not
@@ -23,9 +25,9 @@ depend on dt: they come from the per-mesh bundle of
 :func:`fracvisco.problems.precompute_loads`, which callers sweeping N on one
 mesh build once and pass as ``pre``; a bundle built for another problem, mesh,
 material or dof count raises ValueError.  A run builds only what depends on
-dt: the factor of M/dt + A (once per run), the I(t) table, the SOE and its
-compression, and the history storage.  A step whose velocity is not finite
-raises SolveFailure naming the step.
+dt: the factor of M/dt + A (once per run), the I(t) and load-factor
+tables, the SOE and its compression, and the history storage.  A step
+whose velocity is not finite raises SolveFailure naming the step.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .fem import (a_form_matrix, assemble_mass, b_form_matrix,  # noqa: F401
                   ritz_project)
 from .mesh import Mesh
 from .mlf import kernel_antiderivative  # noqa: F401
-from .problems import (LoadPrecomputation, ManufacturedProblem, assemble_load,
-                       conv_factor_grid, precompute_loads)
+from .problems import (LoadPrecomputation, ManufacturedProblem,
+                       conv_factor_grid, load_factors, precompute_loads)
 from .soe import (PANEL_RATIO, MemoryState, SoeApprox, build_soe,
                   compress_soe, exp_convolution)
 
@@ -62,8 +64,9 @@ class Scheme(str, Enum):
 class Timings:
     """wall_setup: time before the first step (kernel tables, SOE, factor and
     the per-mesh bundle if not passed); wall_total: the step loop, of which
-    wall_history (lag sum w and gather of (v^{n-1}, w); direct's also stores
-    v^{n-1}) and wall_solve (the right-hand-side product and band solve)."""
+    wall_history (lag sum w and gather of (v^{n-1}, w, f_n); direct's also
+    stores v^{n-1}) and wall_solve (the right-hand-side product and band
+    solve)."""
 
     wall_setup: float = 0.0
     wall_total: float = 0.0
@@ -89,10 +92,10 @@ class RunResult:
 def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
     """Product-quadrature lag weights w_l = B(l dt) - B((l-1) dt) with
     B(x) = int_0^x beta the kernel antiderivative (the kernel engine at
-    rate 0); w_{n,i} = w_{n-i}."""
+    rate 0, on dt, ..., n_max dt; B(0) = 0); w_{n,i} = w_{n-i}."""
     anti = exp_convolution(material.alpha, material.tau_sigma,
-                           dt * np.arange(n_max + 1), 0.0)
-    return np.diff(anti)
+                           dt * np.arange(1, n_max + 1), 0.0)
+    return np.diff(anti, prepend=0.0)
 
 
 class DirectHistory:
@@ -130,24 +133,26 @@ class DirectHistory:
 
 
 class TimeStepSystem:
-    """Constant backward-Euler matrix M/dt + A (``lhs``), factored once per
-    run by a LAPACK band Cholesky, which ``solve`` applies; ``rhs_mat`` =
-    [M/dt  B] takes a step's M v/dt + B w in one product with (v, w)."""
+    """Constant backward-Euler matrix M/dt + A (``lhs``) of the bundle pre,
+    factored once per run by a LAPACK band Cholesky, which ``solve``
+    applies; ``rhs_mat`` = [M/dt  B  P], P = [p_mass  p_a  p_b] dense,
+    takes a step's M v/dt + B w + P f in one product with (v, w, f)."""
 
-    def __init__(self, mass: sp.csr_matrix, a_mat: sp.csr_matrix, dt: float,
-                 b_mat: sp.csr_matrix):
-        mass_dt = mass / dt
-        self.lhs = (mass_dt + a_mat).tocsr()
-        self.rhs_mat = sp.hstack([mass_dt, b_mat], format="csr")
+    def __init__(self, pre: LoadPrecomputation, dt: float):
+        mass_dt = pre.mass / dt
+        self.lhs = (mass_dt + pre.a_mat).tocsr()
+        self.rhs_mat = sp.hstack(
+            [mass_dt, pre.b_mat,
+             np.column_stack((pre.p_mass, pre.p_a, pre.p_b))], format="csr")
         self.solve = spd_solver(self.lhs)
 
 
 def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:
-    """Refuse a run whose N-sized arrays (direct history; times, I(t) and
-    lag-weight tables) exceed the available physical memory.  Direct also
-    counts the block temporaries, the HISTORY_BLOCK x N weight slice and
-    the HISTORY_BLOCK x n_dofs block sums."""
-    need = 8 * n_steps * 3
+    """Refuse a run whose N-sized arrays (direct history; times, I(t),
+    three load-factor and lag-weight tables) exceed the available physical
+    memory.  Direct also counts the block temporaries, the HISTORY_BLOCK x N
+    weight slice and the HISTORY_BLOCK x n_dofs block sums."""
+    need = 8 * n_steps * 6
     if scheme is Scheme.DIRECT:
         need += 8 * (n_steps * n_dofs + HISTORY_BLOCK * (n_steps + n_dofs))
     require_memory(need, f"{scheme.value} run with N = {n_steps} steps and "
@@ -196,10 +201,11 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
                          peak_history_bytes=0, soe=None, n_steps=0)
 
     dt = problem.final_time / n_steps
-    system = TimeStepSystem(pre.mass, pre.a_mat, dt, pre.b_mat)
+    system = TimeStepSystem(pre, dt)
     times = dt * np.arange(1, n_steps + 1)
     if conv_values is None:
         conv_values = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
+    factors = load_factors(times, conv_values)
 
     soe: SoeApprox | None = None
     if scheme is Scheme.FAST:
@@ -215,11 +221,10 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     t_start = time.perf_counter()
     timings.wall_setup = t_start - t_setup
     for n in range(1, n_steps + 1):
-        load = assemble_load(pre, times[n - 1], conv_values[n - 1])
         h0 = time.perf_counter()
-        stacked = np.concatenate((v, hist.advance(v)))
+        stacked = np.concatenate((v, hist.advance(v), factors[n - 1]))
         h1 = time.perf_counter()
-        v = system.solve(system.rhs_mat @ stacked + load)
+        v = system.solve(system.rhs_mat @ stacked)
         h2 = time.perf_counter()
         if not np.isfinite(v).all():
             raise SolveFailure(f"step {n} of N = {n_steps}: the velocity is "

@@ -7,18 +7,20 @@ for both history treatments of ``fracvisco.stepper``.
 
 from the Ritz datum A v^0 = p_a, with dense numpy algebra: one weighted sum
 over the stored velocities and one ``np.linalg.solve`` per step, with no
-band factor, no blocked sum and no memory recursion.  Fed
+band factor, no blocked sum, no memory recursion and no load columns (it
+forms F(t) = g'(t) p_mass + g(t) p_a - I(t) p_b, g = e^{-t}, itself).  Fed
 ``stepper.direct_weights`` it is the direct scheme; fed
 ``soe.theta_weights`` of a run's exponential sum it is that run's fast
 scheme, whose memory recursion telescopes to those lag weights.  It takes
 only the assembled matrices, load vectors and I(t) table from the package.
 """
 
+import math
+
 import numpy as np
 
 from fracvisco.fem import build_dof_map
-from fracvisco.problems import (assemble_load, conv_factor_grid,
-                                precompute_loads)
+from fracvisco.problems import conv_factor_grid, precompute_loads
 
 
 def replay(prob, mesh, n_steps: int, weights: np.ndarray) -> np.ndarray:
@@ -34,7 +36,8 @@ def replay(prob, mesh, n_steps: int, weights: np.ndarray) -> np.ndarray:
     hist = [np.linalg.solve(a, pre.p_a)]
     for n in range(1, n_steps + 1):
         lagged = sum(weights[n - 1 - i] * hist[i] for i in range(n))
-        load = assemble_load(pre, times[n - 1], conv[n - 1])
+        g = math.exp(-times[n - 1])
+        load = -g * pre.p_mass + g * pre.p_a - conv[n - 1] * pre.p_b
         hist.append(np.linalg.solve(lhs, mass @ hist[-1] / dt + b @ lagged
                                     + load))
     return hist[-1]

@@ -110,6 +110,21 @@ class TestMass:
         # x and y components never couple in the mass form
         assert m[d0, d1 + 1] == 0.0
 
+    @pytest.mark.parametrize("kind", ["tri", "quad"])
+    def test_stores_no_zeros_and_keeps_the_band(self, kind):
+        # the cross-component zeros of the element matrix are not scattered;
+        # A and M/dt + A keep the half-bandwidth 2n + 1 of row-major dofs
+        n = 6
+        mesh = build_mesh(kind, n)
+        dofs = build_dof_map(mesh)
+        m = assemble_mass(mesh, dofs)
+        assert m.nnz == np.count_nonzero(m.data)
+        assert m.nnz == np.count_nonzero(m.toarray())
+        a = a_form_matrix(mesh, dofs, Material())
+        for mat in (a, m / 0.01 + a):
+            upper = sp.triu(mat, format="coo")
+            assert (upper.col - upper.row).max() == 2 * n + 1
+
     def test_load_of_constant_integrates_to_area(self):
         mesh = build_mesh("quad", 5)
         dofs = full_dof_map(mesh)

@@ -12,9 +12,15 @@ from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
                            mass_load, ritz_project, spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_beta
-from fracvisco.problems import (LoadPrecomputation, assemble_load,
-                                conv_factor_grid, exact_error, get_problem,
-                                precompute_loads)
+from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
+                                load_factors, precompute_loads)
+
+
+def load_at(pre, t, it):
+    """The weak-form load at t as the run forms it: P = [p_mass p_a p_b]
+    times the factor row of t, given I(t) = it."""
+    basis = np.column_stack((pre.p_mass, pre.p_a, pre.p_b))
+    return basis @ load_factors(np.array([t]), np.array([it]))[0]
 
 
 def fd_gradient(field, x, y, h=1e-6):
@@ -110,7 +116,7 @@ class TestLoads:
         prob = get_problem("ex61")
         pre = precompute_loads(mesh, dofs, prob)
         it0 = conv_factor_grid(0.5, 0.5, np.array([0.0]))[0]
-        load = assemble_load(pre, 0.0, it0)
+        load = load_at(pre, 0.0, it0)
         assert np.allclose(load, -pre.p_mass + pre.p_a, atol=1e-14)
 
     def test_exact_span_coefficients(self):
@@ -121,23 +127,35 @@ class TestLoads:
         pre = precompute_loads(mesh, dofs, prob)
         t = 0.6
         it = conv_factor_grid(mat.alpha, mat.tau_sigma, np.array([t]))[0]
-        load = assemble_load(pre, t, it)
+        load = load_at(pre, t, it)
         basis = np.column_stack([pre.p_mass, pre.p_a, pre.p_b])
         coef, res, *_ = np.linalg.lstsq(basis, load, rcond=None)
         g = math.exp(-t)
         assert np.allclose(coef, [-g, g, -it], atol=1e-10)
 
     def test_conv_value_override(self):
-        unused = np.full((1, 1), np.nan)
-        pre = LoadPrecomputation(p_mass=np.array([1.0]),
-                                 p_a=np.array([2.0]),
-                                 p_b=np.array([4.0]), a_mat=unused,
-                                 mass=unused, b_mat=unused,
-                                 v0=np.array([np.nan]),
-                                 material=Material(), problem="ex61",
-                                 mesh=("quad", 1))
-        got = assemble_load(pre, 0.0, 0.25)
+        factors = load_factors(np.array([0.0]), np.array([0.25]))
+        got = np.array([[1.0, 2.0, 4.0]]) @ factors[0]
         assert got[0] == pytest.approx(-1.0 + 2.0 - 1.0)
+
+    def test_factor_table_gives_the_load_of_every_step(self):
+        # row n of a run's factor table times P is the weak-form load
+        # g'(t_n) p_mass + g(t_n) p_a - I(t_n) p_b at every t_n
+        mesh = build_mesh("quad", 4)
+        dofs = build_dof_map(mesh)
+        mat = Material(alpha=0.3)
+        pre = precompute_loads(mesh, dofs, get_problem("ex62", mat))
+        n_steps = 9
+        times = np.arange(1, n_steps + 1) / n_steps
+        conv = conv_factor_grid(mat.alpha, mat.tau_sigma, times)
+        factors = load_factors(times, conv)
+        assert factors.shape == (n_steps, 3)
+        basis = np.column_stack((pre.p_mass, pre.p_a, pre.p_b))
+        for t, it, row in zip(times, conv, factors):
+            g = math.exp(-t)
+            want = -g * pre.p_mass + g * pre.p_a - it * pre.p_b
+            assert np.allclose(basis @ row, want, rtol=0.0,
+                               atol=1e-14 * np.abs(want).max())
 
     def test_memory_load_vanishes_for_degenerate_material(self):
         mat = Material(tau_sigma=1.0, tau_eps=1.0, mu_d=1.0, lambda_d=1.0)
@@ -169,7 +187,7 @@ class TestLoads:
         mesh = build_mesh("quad", 8)
         dofs = build_dof_map(mesh)
         pre = precompute_loads(mesh, dofs, prob)
-        load = assemble_load(pre, t, it)
+        load = load_at(pre, t, it)
         strong_vec = mass_load(mesh, dofs, strong)
         rel = np.linalg.norm(load - strong_vec) / np.linalg.norm(load)
         assert rel < 1e-6

@@ -95,6 +95,17 @@ class TestEngineRules:
         for rates, _ in _engine_rules(alpha):
             assert np.all(np.diff(rates) <= 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_built_once_per_alpha_and_read_only(self, alpha):
+        first, again = _engine_rules(alpha), _engine_rules(alpha)
+        assert len(first) == len(again) == 2
+        for rule, same in zip(first, again):
+            for arr, arr_again in zip(rule, same):
+                assert arr is arr_again
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
 
 class TestExactEntryIdentities:
     """The floating-point identities behind the entries the engine writes

@@ -8,8 +8,8 @@ import pytest
 
 from fracvisco import fem, problems, stepper
 from fracvisco.errors import BudgetExceeded, SolveFailure
-from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
-                           b_form_matrix, build_dof_map, ritz_project)
+from fracvisco.fem import (Material, a_form_matrix, build_dof_map,
+                           ritz_project)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_antiderivative
 from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
@@ -170,31 +170,31 @@ class TestTimeStepSystem:
     def test_one_step_matches_dense_solve(self):
         mesh = build_mesh("quad", 4)
         dofs = build_dof_map(mesh)
-        mat = Material()
-        mass = assemble_mass(mesh, dofs)
-        a = a_form_matrix(mesh, dofs, mat)
+        pre = precompute_loads(mesh, dofs, get_problem("ex61"))
         dt = 0.1
-        system = TimeStepSystem(mass, a, dt, b_form_matrix(mesh, dofs, mat, a))
+        system = TimeStepSystem(pre, dt)
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal(dofs.n_dofs)
         x = system.solve(rhs)
-        dense = (mass / dt + a).toarray()
+        dense = (pre.mass / dt + pre.a_mat).toarray()
         assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-10)
 
-    def test_rhs_product_is_mass_and_history(self):
-        # [M/dt  B] (v, w) is the step's M v/dt + B w in one product
+    def test_rhs_product_is_mass_history_and_load(self):
+        # [M/dt  B  P] (v, w, f) is the step's M v/dt + B w + P f in one
+        # product, P = [p_mass  p_a  p_b] and f = (g', g, -I)
         mesh = build_mesh("tri", 5)
         dofs = build_dof_map(mesh)
         mat = Material(alpha=0.3)
-        mass = assemble_mass(mesh, dofs)
-        a = a_form_matrix(mesh, dofs, mat)
-        b = b_form_matrix(mesh, dofs, mat, a)
-        dt = 0.003
-        system = TimeStepSystem(mass, a, dt, b)
-        assert system.rhs_mat.shape == (dofs.n_dofs, 2 * dofs.n_dofs)
+        pre = precompute_loads(mesh, dofs, get_problem("ex62", mat))
+        dt, t = 0.003, 0.42
+        system = TimeStepSystem(pre, dt)
+        assert system.rhs_mat.shape == (dofs.n_dofs, 2 * dofs.n_dofs + 3)
         v, w = np.random.default_rng(5).standard_normal((2, dofs.n_dofs))
-        want = mass @ v / dt + b @ w
-        got = system.rhs_mat @ np.concatenate((v, w))
+        g = math.exp(-t)
+        it = conv_factor_grid(mat.alpha, mat.tau_sigma, np.array([t]))[0]
+        want = (pre.mass @ v / dt + pre.b_mat @ w
+                - g * pre.p_mass + g * pre.p_a - it * pre.p_b)
+        got = system.rhs_mat @ np.concatenate((v, w, [-g, g, -it]))
         assert np.allclose(got, want, rtol=0.0,
                            atol=1e-13 * np.abs(want).max())
 
