@@ -179,6 +179,22 @@ class TestTimeStepSystem:
         dense = (pre.mass / dt + pre.a_mat).toarray()
         assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-10)
 
+    def test_rhs_product_is_mass_and_history(self):
+        # with zero load factors, [M/dt  B  P] (v, w, 0) is the step's
+        # M v/dt + B w in one product
+        mesh = build_mesh("tri", 5)
+        dofs = build_dof_map(mesh)
+        mat = Material(alpha=0.3)
+        pre = precompute_loads(mesh, dofs, get_problem("ex62", mat))
+        dt = 0.003
+        system = TimeStepSystem(pre, dt)
+        assert system.rhs_mat.shape == (dofs.n_dofs, 2 * dofs.n_dofs + 3)
+        v, w = np.random.default_rng(5).standard_normal((2, dofs.n_dofs))
+        want = pre.mass @ v / dt + pre.b_mat @ w
+        got = system.rhs_mat @ np.concatenate((v, w, np.zeros(3)))
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-13 * np.abs(want).max())
+
     def test_rhs_product_is_mass_history_and_load(self):
         # [M/dt  B  P] (v, w, f) is the step's M v/dt + B w + P f in one
         # product, P = [p_mass  p_a  p_b] and f = (g', g, -I)
