@@ -21,9 +21,10 @@ work before and after its samples (``reference_s``) and gives the medians
 in reference seconds as well (``*_ref_s``), as ``bench_history.py`` does.
 The record's ``tables`` time the engine's two per-run tables the same way:
 the I(t) table of ``problems.conv_factor_grid`` (``conv_table_s``) and the
-direct lag weights of ``stepper.direct_weights`` from the kernel
-antiderivative (``antiderivative_s``), at the cases' sizes and at
-N = 1500, alpha = 0.5 (direct-long).  The record also holds the machine
+direct lag weights of ``stepper.direct_weights`` (``antiderivative_s``, the
+key older records used when the weights were differences of the kernel
+antiderivative, kept so records still compare), at the cases' sizes and
+at N = 1500, alpha = 0.5 (direct-long).  The record also holds the machine
 and is merged into the output file under ``records[label]``.
 
 The third form is ``scripts/bench_history.py --pairs``: it runs

@@ -392,6 +392,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"step counts must be >= 1, mesh sizes >= 2 and "
                          f"0 < final_time < inf, got steps {steps}, mesh sizes "
                          f"{meshes} and final_time {cfg.final_time}")
+    ladder = cfg.spatial_ns if args.command == "convergence-space" else steps
+    again = [k for i, k in enumerate(ladder) if k in ladder[:i]]
+    if args.command.startswith("convergence-") and again:
+        raise ValueError(f"the ladder {ladder} repeats the level {again[0]}")
     return cfg
 
 

@@ -6,8 +6,9 @@ The relaxation kernel of the velocity-form viscoelastic equation is
 
 where E_alpha is the one-parameter Mittag-Leffler function.  Everything in
 this module is evaluated without any exponential-sum compression, so it is
-the test oracle for the kernel engine (``soe.exp_convolution`` and
-``soe.engine_kernel``) and the SOE it certifies; no run path calls it.
+the test oracle for the kernel engine (``soe.exp_convolution``,
+``soe.direct_weights``, ``soe.engine_kernel``) and the SOE it certifies; no
+run path calls it.
 
 Two evaluation routes are provided and cross-checked in the tests:
 

@@ -154,14 +154,11 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
 
 def conv_factor_grid(alpha: float, tau_sigma: float,
                      times: np.ndarray) -> np.ndarray:
-    """I(t) = int_0^t E_alpha(-((t-s)/tau_sigma)^alpha) e^{-s} ds on a grid.
-
-    Evaluated for all times at once by the kernel engine
-    (:func:`fracvisco.soe.exp_convolution` with rate 1), which closes the
-    time integral of every exponential of its kernel rule in exprel form;
-    tabulated once per run and shared by all schemes.
-    """
-    return exp_convolution(alpha, tau_sigma, times, 1.0)
+    """I(t) = int_0^t E_alpha(-((t-s)/tau_sigma)^alpha) e^{-s} ds on a grid,
+    by the kernel engine's :func:`fracvisco.soe.exp_convolution`, which
+    closes each exponential's time integral in exprel form, as its
+    direct_weights does for the direct lag weights; tabulated once per run."""
+    return exp_convolution(alpha, tau_sigma, times)
 
 
 def load_factors(times: np.ndarray, conv_values: np.ndarray) -> np.ndarray:

@@ -19,17 +19,19 @@ The stepper only consumes the lag weights theta_1..theta_N of the sum, so
 (column-pivoted QR of the lag-weight matrix, a nonnegative refit) and checks
 the result on every lag.
 
-A fixed, much tighter panel rule is the kernel engine: :func:`exp_convolution`
-gives I(t) and the kernel antiderivative for whole time tables at once, and
+A fixed, much tighter panel rule is the kernel engine, which tabulates the
+run's kernel tables at once: :func:`exp_convolution` the load factor I(t),
+:func:`direct_weights` the direct scheme's lag weights (each exponential
+integrated exactly over one step, as in theta_weights) and
 :func:`engine_kernel` the kernel values that certify a built sum.  Its rates
 are non-increasing, so in each (times x rates) block the entries whose value
 is known exactly are a prefix and a suffix of the columns.  The engine
 evaluates only the middle columns and reduces them with one matrix-vector
 product; the known runs enter in closed form (e^{-a t} = 0 where a t > 746
-and 1 where a t <= 2^-60; exprel(x) = -1/x where x < -40, and
-exprel(rate t) at the slow rates).  That kernel sum, _exp_sum, also serves
-eval_soe and theta_weights.  Each Gauss-Legendre rule is built once per
-point count, and the engine's panel rules once per alpha.  The tests check
+and 1 where a t <= 2^-60; exprel(x) = -1/x where x < -40, and exprel(t) at
+the slow rates).  That kernel sum, _exp_sum, also serves eval_soe and
+theta_weights.  Each Gauss-Legendre rule is built once per point count, and
+the engine's panel rules once per alpha.  The tests check
 the engine against ``mlf``'s scalar series/quadrature and against its rule
 evaluated on every entry: the same entries are 0 and the others agree
 within 16 eps relative, every term being positive.
@@ -48,7 +50,8 @@ from scipy.linalg.blas import dgemv, dger
 from scipy.optimize import nnls
 from scipy.special import exprel
 
-from .errors import BudgetExceeded, QuadratureFailure
+from .errors import BudgetExceeded, FracViscoError, QuadratureFailure
+from .fem import Material
 
 MAX_NODES = 4096
 #: Default ratio q of consecutive panel edges of a built sum.
@@ -62,8 +65,7 @@ ENGINE_X_MIN, ENGINE_X_MAX = 4.0 ** -20, 4.0 ** 24
 ENGINE_RATE_RATIO = 16.0
 ENGINE_J, ENGINE_J_CHECK = 20, 16
 ENGINE_TOL = 1e-9
-EPS = np.finfo(float).eps
-#: log(DBL_MAX): exp_convolution's closed form overflows past rate t = LOG_MAX.
+#: log(DBL_MAX): exp_convolution's closed form overflows past t = LOG_MAX.
 LOG_MAX = math.log(np.finfo(float).max)
 #: Entries of each (times x nodes) temporary: 512 KB.  Of 2^15..2^17,
 #: 2^17 ran the tables a few % faster but added 0.3 MB to a direct
@@ -145,7 +147,12 @@ def _panel_rule(alpha: float, edges: np.ndarray,
 def step_factors(soe: SoeApprox, dt: float,
                  tau_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """The one-step factors decay_j = e^{-a_j dt / tau_sigma} and
-    gain_j = (b_j tau_sigma / a_j)(1 - decay_j) of each exponential."""
+    gain_j = (b_j tau_sigma / a_j)(1 - decay_j) of each exponential;
+    FracViscoError for a sum with a zero rate, whose gain is 0/0."""
+    zero = np.count_nonzero(soe.nodes == 0.0)
+    if zero:
+        raise FracViscoError(f"{zero} rates of the exponential sum underflow "
+                             f"to 0 at alpha = {soe.alpha}")
     decay = np.exp(-soe.nodes * dt / tau_sigma)
     return decay, soe.weights * tau_sigma / soe.nodes * (1.0 - decay)
 
@@ -344,50 +351,57 @@ def _engine_sum(alpha: float, times: np.ndarray, rule_sum) -> np.ndarray:
     return out
 
 
-def exp_convolution(alpha: float, tau_sigma: float, times,
-                    rate: float) -> np.ndarray:
-    """int_0^t beta(t - s) e^{-rate s} ds for each t in the 1-D times, with
-    beta(t) = E_alpha(-(t/tau_sigma)^alpha).
-
-    With beta = sum_j b_j e^{-a_j t/tau} the integral closes to
-    t e^{-rate t} sum_j b_j exprel(x_j), x_j = (rate - a_j/tau) t, stable
-    for a_j/tau near rate: rate = 1 gives the load factor I(t), rate = 0
-    the kernel antiderivative.  Checked as in _engine_sum.  Only the middle
-    columns are evaluated, as expm1(x_j)/x_j (1 at x_j = 0), and reduced by
-    @ b; the exact runs enter as sums: the prefix with x_j < -40 (entries
-    -1/x_j) as -e^{-rate t} sum_j b_j/c_j, c_j = rate - a_j/tau, and the
-    suffix where c_j rounds to rate, or rate = 0 and |x_j| < eps, as
-    exprel(rate t) sum_j b_j.
-    The closed form overflows where rate t > LOG_MAX: such a time raises
-    ValueError.
-    """
+def exp_convolution(alpha: float, tau_sigma: float, times) -> np.ndarray:
+    """The load factor I(t) = int_0^t beta(t - s) e^{-s} ds for each t in
+    the 1-D times, beta(t) = E_alpha(-(t/tau_sigma)^alpha): with
+    beta = sum_j b_j e^{-a_j t/tau} it closes to t e^{-t} sum_j b_j
+    exprel(x_j), x_j = (1 - a_j/tau) t, stable for a_j/tau near 1.
+    Checked as in _engine_sum.  Only the middle columns are evaluated, as
+    expm1(x_j)/x_j (1 at x_j = 0), and reduced by @ b; the exact runs enter
+    as sums: the prefix with x_j < -40 (entries -1/x_j) as
+    -e^{-t} sum_j b_j/c_j, c_j = 1 - a_j/tau, and the suffix where c_j
+    rounds to 1 as exprel(t) sum_j b_j.  A time past the closed form's
+    range t <= LOG_MAX raises ValueError."""
     times = _engine_times(times)
     if not 0.0 < tau_sigma < math.inf:
         raise ValueError(f"tau_sigma must be finite and positive, "
                          f"got {tau_sigma}")
-    far = np.flatnonzero(rate * times > LOG_MAX)
+    far = np.flatnonzero(times > LOG_MAX)
     if far.size:
-        t = times.flat[far[0]]
-        raise ValueError(f"times[{far[0]}] = {t:g} is past the closed form's "
-                         f"range: rate * t = {rate * t:g} exceeds "
-                         f"log(DBL_MAX) = {LOG_MAX:.6g}")
+        raise ValueError(f"times[{far[0]}] = {times.flat[far[0]]:g} is past "
+                         f"the closed form's range t <= log(DBL_MAX) = "
+                         f"{LOG_MAX:.6g}")
 
     def rule_sum(t, a, b):
-        c = rate - a / tau_sigma    # non-decreasing, as a is non-increasing
+        c = 1.0 - a / tau_sigma    # non-decreasing, as a is non-increasing
         lo = np.count_nonzero(t.min() * c < -40.0)
-        hi = max(lo, np.count_nonzero(c != rate) if rate else
-                 np.count_nonzero(np.abs(t.max() * c) >= EPS))
+        hi = max(lo, np.count_nonzero(c != 1.0))
         m = np.multiply.outer(t, c[lo:hi])    # the middle arguments x_j
         e = np.expm1(m)
         with np.errstate(invalid="ignore"):
             np.divide(e, m, out=e)
         e[m == 0.0] = 1.0
-        damp = np.exp(-rate * t)
-        # -1/x_j before lo, exprel(rate t) from hi: closed-form sums
-        return (t * damp * (e @ b[lo:hi] + exprel(rate * t) * b[hi:].sum())
+        damp = np.exp(-t)
+        # -1/x_j before lo, exprel(t) from hi: closed-form sums
+        return (t * damp * (e @ b[lo:hi] + exprel(t) * b[hi:].sum())
                 - damp * (b[:lo] / c[:lo]).sum())
 
     return _engine_sum(alpha, times, rule_sum)
+
+
+def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
+    """Direct lag weights w_l = int_{(l-1) dt}^{l dt} beta, l = 1..n_max
+    (w_{n,i} = w_{n-i}): each exponential of the engine's rule integrated
+    exactly over one step, w_l = sum_j b_j dt exprel(-r_j) e^{-(l-1) r_j},
+    r_j = a_j dt/tau_sigma, by _exp_sum over the lags l - 1, checked as in
+    _engine_sum (whose failure names the lag as t).  No difference cancels;
+    a zero rate's gain is b_j dt."""
+    def rule_sum(lag, a, b):
+        rate = a * dt / material.tau_sigma
+        return _exp_sum(lag, rate, b * dt * exprel(-rate))
+
+    return _engine_sum(material.alpha, np.arange(n_max, dtype=float),
+                       rule_sum)
 
 
 def engine_kernel(alpha: float, times: np.ndarray) -> np.ndarray:

@@ -10,15 +10,15 @@ The paper's two history treatments are provided:
   (O(N_exp) work and storage per step).  The run builds a sum certified
   pointwise by build_soe and compresses it by compress_soe to the few
   exponentials that reproduce its N lag weights (5-9x fewer at dt = h^2/2);
-- direct: product-quadrature weights from the kernel antiderivative,
-  w_{n,i} = A_beta(t_n - t_i) - A_beta(t_n - t_{i+1}) (O(n) work per step,
-  N stored dof-vectors; the accuracy baseline).  Each history's one call
-  per step, ``advance(v^{n-1})``, returns w, so one step loop serves both.
+- direct: lag weights w_{n,i} = w_{n-i}, the kernel's integral over one
+  step (O(n) work per step, N stored dof-vectors; the accuracy baseline).
+  Each history's one call per step, ``advance(v^{n-1})``, returns w, so one
+  step loop serves both.
 
-The kernel tables I(t_n) and A_beta(l dt) come from the vectorised kernel
-engine :func:`fracvisco.soe.exp_convolution`; the run tabulates the load
-factors f_n = (g'(t_n), g(t_n), -I(t_n)) once.  A run whose N-sized arrays
-exceed the available physical memory raises BudgetExceeded up front.
+The kernel tables I(t_n) and w_l come from the vectorised kernel engine of
+:mod:`fracvisco.soe`; the run tabulates the load factors f_n = (g'(t_n),
+g(t_n), -I(t_n)) once.  A run whose N-sized arrays exceed the available
+physical memory raises BudgetExceeded up front.
 
 The matrices A, M and B, the load vectors and the Ritz initial datum do not
 depend on dt: they come from the per-mesh bundle of
@@ -50,7 +50,7 @@ from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem,
                        conv_factor_grid, load_factors, precompute_loads)
 from .soe import (PANEL_RATIO, MemoryState, SoeApprox, build_soe,
-                  compress_soe, exp_convolution)
+                  compress_soe, direct_weights)
 
 HISTORY_BLOCK = 32  # steps per block GEMM of the direct history
 
@@ -87,15 +87,6 @@ class RunResult:
     @property
     def n_exp(self) -> int:
         return 0 if self.soe is None else self.soe.n_exp
-
-
-def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
-    """Product-quadrature lag weights w_l = B(l dt) - B((l-1) dt) with
-    B(x) = int_0^x beta the kernel antiderivative (the kernel engine at
-    rate 0, on dt, ..., n_max dt; B(0) = 0); w_{n,i} = w_{n-i}."""
-    anti = exp_convolution(material.alpha, material.tau_sigma,
-                           dt * np.arange(1, n_max + 1), 0.0)
-    return np.diff(anti, prepend=0.0)
 
 
 class DirectHistory:

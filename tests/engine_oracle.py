@@ -1,6 +1,7 @@
 """The kernel engine evaluated naively: the test oracle for
-``soe.exp_convolution`` and ``soe.engine_kernel``, and for the other two
-exponential sums of ``soe``, ``theta_weights`` and ``eval_soe``.
+``soe.exp_convolution``, ``soe.direct_weights`` and ``soe.engine_kernel``,
+and for the other two exponential sums of ``soe``, ``theta_weights`` and
+``eval_soe``.
 
 Each sum fills its whole (times x rates) matrix for the engine's ENGINE_J
 rule by calling scipy's ``exprel`` or ``np.exp`` on every entry, with no
@@ -18,13 +19,21 @@ from scipy.special import exprel
 from fracvisco.soe import _engine_rules, step_factors
 
 
-def exp_convolution(alpha: float, tau_sigma: float, times,
-                    rate: float) -> np.ndarray:
-    """t e^{-rate t} sum_j b_j exprel((rate - a_j/tau_sigma) t)."""
+def exp_convolution(alpha: float, tau_sigma: float, times) -> np.ndarray:
+    """t e^{-t} sum_j b_j exprel((1 - a_j/tau_sigma) t)."""
     a, b = _engine_rules(alpha)[0]
     t = np.asarray(times, dtype=float)
-    return t * np.exp(-rate * t) * (
-        exprel(np.multiply.outer(t, rate - a / tau_sigma)) * b).sum(axis=1)
+    return t * np.exp(-t) * (
+        exprel(np.multiply.outer(t, 1.0 - a / tau_sigma)) * b).sum(axis=1)
+
+
+def direct_weights(material, dt: float, n_max: int) -> np.ndarray:
+    """w_l = sum_j b_j dt exprel(-r_j) e^{-(l-1) r_j}, r_j = a_j dt/tau_sigma,
+    l = 1..n_max."""
+    a, b = _engine_rules(material.alpha)[0]
+    rate = a * dt / material.tau_sigma
+    return exp_sum(np.arange(n_max, dtype=float), rate,
+                   b * dt * exprel(-rate))
 
 
 def exp_sum(t, a, w) -> np.ndarray:

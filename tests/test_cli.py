@@ -259,6 +259,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, config, ladder", [
+        (["convergence-time", "--mesh-n", "2", "--steps", "3,3"], "",
+         "(3, 3) repeats the level 3"),
+        (["convergence-time", "--mesh-n", "2", "--steps", "5,3,5"], "",
+         "(5, 3, 5) repeats the level 5"),
+        (["convergence-space"], "[run]\nspatial_ns = 4,4\n",
+         "(4, 4) repeats the level 4"),
+    ], ids=["time", "time-apart", "space"])
+    def test_repeated_ladder_level_is_refused(self, argv, config, ladder,
+                                              tmp_path, capsys, monkeypatch):
+        # a repeated level would make the order column divide by log2(1)
+        # after every level was solved; it is refused before any solve
+        monkeypatch.setattr("fracvisco.cli._solve", None)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(config)
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: the ladder {ladder}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_underflowing_rates_fail_the_fast_scheme_only(self, capsys):
+        # at alpha = 0.02 the built sum's rates x^(-1/alpha) underflow to 0
+        # on its widest panels, where the gain 0/0 is undefined; the direct
+        # lag weights give such a rate its exact gain b_j dt
+        argv = ["single-run", "--n", "4", "--n-steps", "256",
+                "--alpha", "0.02"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: \d+ rates of the "
+                            r"exponential sum underflow to 0 at "
+                            r"alpha = 0\.02\n", err)
+        assert main(argv + ["--scheme", "direct"]) == 0
+        assert "direct n=4 N=256 alpha=0.02 error=" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text, named", [
         ("[run]\nalpha = 0.3\n", "unknown key 'alpha' in section [run]"),
         ("[material]\nrhoo = 2.0\n",
@@ -269,8 +304,8 @@ class TestExitCodes:
         ("[run]\nfinal_time = -1\n", "final_time -1.0"),
         ("[run]\nfinal_time = inf\n", "final_time inf"),
         ("[run]\nfinal_time = 800\n",
-         "times[1] = 800 is past the closed form's range: rate * t = 800 "
-         "exceeds log(DBL_MAX) = 709.783"),
+         "times[1] = 800 is past the closed form's range t <= log(DBL_MAX) "
+         "= 709.783"),
         ("[material]\nrho = nan\n", "rho must be finite, got nan"),
         ("[material]\ntau_sigma = nan\n", "tau_sigma must be finite, got nan"),
         ("[material]\nrho = inf\n", "rho must be finite, got inf"),

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from scipy.special import exprel
 
 import engine_oracle
-from fracvisco.errors import BudgetExceeded, QuadratureFailure
+from fracvisco.errors import BudgetExceeded, FracViscoError, QuadratureFailure
+from fracvisco.fem import Material
 from fracvisco.mlf import kernel_beta, ml_integral
 from fracvisco.soe import (CERTIFY_SAMPLES, COMPRESS_RTOL, LOG_MAX,
                            SoeApprox, _engine_rules, _panel_rule, build_panels,
-                           build_soe, certify_soe, compress_soe, engine_kernel,
-                           eval_soe, exp_convolution, theta_weights,
-                           write_table)
+                           build_soe, certify_soe, compress_soe,
+                           direct_weights, engine_kernel, eval_soe,
+                           exp_convolution, theta_weights, write_table)
 
 DBL_EPS = np.finfo(float).eps
 #: Largest relative gap of an engine sum to its naive oracle: every term is
@@ -164,12 +165,21 @@ class TestEngineAgainstNaiveOracle:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
     @pytest.mark.parametrize("tau", [0.05, 0.5, 10.0])
-    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0, 7.0])
-    def test_exp_convolution(self, alpha, tau, rate):
+    def test_exp_convolution(self, alpha, tau):
         for times in _ORDERS.values():
+            assert_matches_oracle(exp_convolution(alpha, tau, times),
+                                  engine_oracle.exp_convolution(alpha, tau,
+                                                                times))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 10.0])
+    def test_direct_weights(self, alpha, tau):
+        # the lag tables of a 256-step and a 1500-step run
+        mat = Material(alpha=alpha, tau_sigma=tau)
+        for n_max in (256, 1500):
             assert_matches_oracle(
-                exp_convolution(alpha, tau, times, rate),
-                engine_oracle.exp_convolution(alpha, tau, times, rate))
+                direct_weights(mat, 1.0 / n_max, n_max),
+                engine_oracle.direct_weights(mat, 1.0 / n_max, n_max))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
     def test_engine_kernel(self, alpha):
@@ -202,7 +212,7 @@ class TestEngineAgainstNaiveOracle:
         times = np.arange(1, 257) / 256.0
         assert self.evaluated_share(
             monkeypatch, "expm1",
-            lambda: exp_convolution(0.5, 0.5, times, 1.0), times.size) < 0.8
+            lambda: exp_convolution(0.5, 0.5, times), times.size) < 0.8
 
     def test_known_kernel_entries_are_not_evaluated(self, monkeypatch):
         # the grid that certifies the SOE of a 256-step run (tau = 0.5)
@@ -256,7 +266,7 @@ class TestEngineInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_exp_convolution_refuses_bad_time(self, bad):
         with pytest.raises(ValueError, match=r"times\[2\] = "):
-            exp_convolution(0.5, 0.5, [0.1, 0.2, bad, 0.3, bad], 1.0)
+            exp_convolution(0.5, 0.5, [0.1, 0.2, bad, 0.3, bad])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_engine_kernel_refuses_bad_time(self, bad):
@@ -264,22 +274,20 @@ class TestEngineInputs:
             engine_kernel(0.5, np.array([0.1, bad, 0.3]))
 
     def test_exp_convolution_refuses_times_past_its_range(self):
-        # e^{rate t} overflows past rate t = log(DBL_MAX) = 709.78: t = 709
-        # is evaluated as before, t = 710 is refused rather than failing the
-        # rule check with NaN, and rate 0 has no such bound
-        for rate, t in ((1.0, 709.0), (0.0, 800.0)):
-            assert_matches_oracle(
-                exp_convolution(0.5, 0.5, [t], rate),
-                engine_oracle.exp_convolution(0.5, 0.5, [t], rate))
+        # e^t overflows past t = log(DBL_MAX) = 709.78: t = 709 is evaluated
+        # as before, t = 710 is refused rather than failing the rule check
+        # with NaN
+        assert_matches_oracle(exp_convolution(0.5, 0.5, [709.0]),
+                              engine_oracle.exp_convolution(0.5, 0.5, [709.0]))
         with pytest.raises(ValueError, match=(
-                r"^times\[1\] = 710 is past the closed form's range: rate "
-                r"\* t = 710 exceeds log\(DBL_MAX\) = 709\.783$")):
-            exp_convolution(0.5, 0.5, [1.0, 710.0, 720.0], 1.0)
+                r"^times\[1\] = 710 is past the closed form's range "
+                r"t <= log\(DBL_MAX\) = 709\.783$")):
+            exp_convolution(0.5, 0.5, [1.0, 710.0, 720.0])
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, math.nan])
     def test_exp_convolution_refuses_bad_tau(self, tau):
         with pytest.raises(ValueError, match="tau_sigma must be finite"):
-            exp_convolution(0.5, tau, [0.5], 1.0)
+            exp_convolution(0.5, tau, [0.5])
 
 
 class TestEngineKernel:
@@ -470,6 +478,15 @@ class TestCompress:
             bad = replace(small, weights=weights)
             dev = np.abs(theta_weights(bad, dt, tau, n_steps) - theta).max()
             assert dev > COMPRESS_RTOL * theta[0]
+
+    def test_zero_rate_is_refused(self):
+        # the rates x^(-1/alpha) of the widest panels underflow to 0 at
+        # small alpha, and a zero rate's gain (b tau / a)(1 - decay) is 0/0
+        zeros = SoeApprox(0.02, np.array([3.0, 1.0, 0.0, 0.0]), np.ones(4))
+        with pytest.raises(FracViscoError, match=(
+                r"^2 rates of the exponential sum underflow to 0 at "
+                r"alpha = 0\.02$")):
+            compress_soe(zeros, 0.01, 0.5, 100)
 
 
 class TestWriteTable:

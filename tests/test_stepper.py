@@ -140,6 +140,19 @@ class TestWeights:
                           - np.exp(-ls * dt / 0.5))
         assert np.allclose(w, expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("tau", [0.01, 0.5, 10.0])
+    @pytest.mark.parametrize("n", [256, 1500])
+    def test_direct_weights_alpha_one_within_4_ulps(self, tau, n):
+        # w_l = tau e^{-(l-1) r} (1 - e^{-r}), r = dt/tau, in the form that
+        # does not cancel; the difference of the antiderivative's values at
+        # l dt and (l-1) dt loses up to all of w_l's digits at tau = 0.01
+        dt = 1.0 / n
+        w = direct_weights(Material(alpha=1.0, tau_sigma=tau), dt, n)
+        r = dt / tau
+        expected = tau * np.exp(-np.arange(n) * r) * -np.expm1(-r)
+        assert np.all(expected > 0.0)
+        assert np.all(np.abs(w - expected) <= 4 * np.spacing(expected))
+
 
 class TestHistoryContract:
     @pytest.mark.parametrize("scheme", ["fast", "direct"])
