@@ -165,11 +165,15 @@ class TestEngineAgainstNaiveOracle:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
     @pytest.mark.parametrize("tau", [0.05, 0.5, 10.0])
-    def test_exp_convolution(self, alpha, tau):
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 7.0])
+    def test_exp_convolution(self, alpha, tau, rate):
+        # int_0^t beta(t - s) e^{-rate s} ds = I(rate t)/rate with
+        # tau_sigma scaled by rate: the engine on the scaled arguments
         for times in _ORDERS.values():
-            assert_matches_oracle(exp_convolution(alpha, tau, times),
-                                  engine_oracle.exp_convolution(alpha, tau,
-                                                                times))
+            assert_matches_oracle(
+                exp_convolution(alpha, rate * tau, rate * times),
+                engine_oracle.exp_convolution(alpha, rate * tau,
+                                              rate * times))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99, 1.0])
     @pytest.mark.parametrize("tau", [0.05, 0.5, 10.0])
