@@ -8,8 +8,9 @@ square) is a translate of a representative cell, so its operator tables are
 computed once per class.  Each cell kind has one quadrature rule, exact for
 every P1/Q1 matrix: degree 4 on triangles, 3 x 3 Gauss on squares.  At its
 points the tables hold the basis fields (``values``) and their Voigt strains
-(``strains``).  Every matrix is sum_q w_q B^T D B and every load
-sum_q w_q (D f)^T B, with B one table and D the identity (mass) or the Voigt
+(``strains``).  Every matrix is sum_q w_q B^T D B (each element entry's
+sum over q correctly rounded by math.fsum) and every load sum_q w_q
+(D f)^T B, with B one table and D the identity (mass) or the Voigt
 elasticity tensor; eliminated dofs scatter into an extra slot that is
 dropped.
 
@@ -17,7 +18,7 @@ Assembled matrices are scipy CSR; the mass matrix and the a-form matrix are
 SPD, the b-form matrix is symmetric but may be indefinite or zero.  Interior
 vertices are numbered row-major, so every matrix has half-bandwidth 2n + 1
 in dof order, and SPD systems are solved by a LAPACK band Cholesky factor
-(:func:`spd_solver`).
+(:func:`spd_solver`) whose band is filled straight from the CSR arrays.
 """
 
 from __future__ import annotations
@@ -180,8 +181,10 @@ def _matrix(mesh: Mesh, dofs: DofMap, table: str,
         b = getattr(cls, table)
         # correctly rounded sums over q keep mirror-image entries exact
         # negatives, so entries whose integrals cancel across cells stay 0
-        emat = np.apply_along_axis(math.fsum, -1, np.einsum(
-            "q,qri,rs,qsj->ijq", cls.weights, b, tensor, b))
+        prod = np.einsum("q,qri,rs,qsj->ijq", cls.weights, b, tensor, b)
+        emat = np.array([math.fsum(terms) for terms in
+                         prod.reshape(-1, prod.shape[-1]).tolist()]
+                        ).reshape(prod.shape[:2])
         i, j = np.nonzero(emat)
         rows.append(ed[:, i].ravel())
         cols.append(ed[:, j].ravel())
@@ -269,24 +272,39 @@ def spd_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
 
     The band is the matrix's own half-bandwidth: 2n + 1 on the uniform
     (n+1)^2 meshes with row-major vertices and two components per vertex.
-    Only the upper triangle is read, so a matrix that is not symmetric to
-    1e-12 of its largest entry raises ValueError; a band that does not fit
-    in the available physical memory raises BudgetExceeded before it is
-    allocated; a factor that is not positive definite raises SolveFailure
-    naming the size and the leading minor."""
+    It is filled straight from the CSR arrays of the matrix, canonicalised
+    (duplicates summed, indices sorted) on a copy when it is not already,
+    so the caller's matrix is never modified.  Only the upper triangle is
+    read, so a matrix that is not symmetric to 1e-12 of its largest entry
+    raises ValueError; a band that does not fit in the available physical
+    memory raises BudgetExceeded before it is allocated; a factor that is
+    not positive definite raises SolveFailure naming the size and the
+    leading minor."""
+    mat = sp.csr_matrix(mat)            # shares the caller's arrays
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     n = mat.shape[0]
-    scale = abs(mat).max()
-    asym = abs(mat - mat.T).max()
+    scale = np.abs(mat.data).max(initial=0.0)
+    # a symmetric pattern lines the transpose's entries up with mat's
+    tr = mat.T.tocsr()
+    if (np.array_equal(tr.indptr, mat.indptr)
+            and np.array_equal(tr.indices, mat.indices)):
+        asym = np.abs(mat.data - tr.data).max(initial=0.0)
+    else:
+        asym = abs(mat - mat.T).max()
     if asym > 1e-12 * scale:
         raise ValueError(f"spd_solver needs a symmetric matrix: the {n}-dof "
                          f"matrix has |mat - mat^T| = {asym:.3e} against "
                          f"max|mat| = {scale:.3e}")
-    upper = sp.triu(mat, format="coo")
-    bw = int((upper.col - upper.row).max(initial=0))
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    upper = mat.indices >= rows
+    rows, cols = rows[upper], mat.indices[upper]
+    bw = int((cols - rows).max(initial=0))
     require_memory(8 * (bw + 1) * n, f"the band factor of the {n}-dof system "
                    f"(half-bandwidth {bw})")
     ab = np.zeros((bw + 1, n), order="F")
-    ab[bw + upper.row - upper.col, upper.col] = upper.data
+    ab[bw + rows - cols, cols] = mat.data[upper]
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info > 0:
         raise SolveFailure(f"factorisation of the {n}-dof system failed: the "

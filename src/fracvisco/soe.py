@@ -395,13 +395,15 @@ def direct_weights(material: Material, dt: float, n_max: int) -> np.ndarray:
     exactly over one step, w_l = sum_j b_j dt exprel(-r_j) e^{-(l-1) r_j},
     r_j = a_j dt/tau_sigma, by _exp_sum over the lags l - 1, checked as in
     _engine_sum (whose failure names the lag as t).  No difference cancels;
-    a zero rate's gain is b_j dt."""
+    a zero rate's gain is b_j dt.  Lag 0 (the sum of the gains) is its own
+    call, so the blocks of the later lags skip their underflowing columns."""
     def rule_sum(lag, a, b):
         rate = a * dt / material.tau_sigma
         return _exp_sum(lag, rate, b * dt * exprel(-rate))
 
-    return _engine_sum(material.alpha, np.arange(n_max, dtype=float),
-                       rule_sum)
+    lags = np.arange(n_max, dtype=float)
+    return np.concatenate([_engine_sum(material.alpha, part, rule_sum)
+                           for part in (lags[:1], lags[1:])])
 
 
 def engine_kernel(alpha: float, times: np.ndarray) -> np.ndarray:

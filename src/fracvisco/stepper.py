@@ -124,17 +124,19 @@ class DirectHistory:
 
 
 class TimeStepSystem:
-    """Constant backward-Euler matrix M/dt + A (``lhs``) of the bundle pre,
-    factored once per run by a LAPACK band Cholesky, which ``solve``
-    applies; ``rhs_mat`` = [M/dt  B  P], P = [p_mass  p_a  p_b] dense,
-    takes a step's M v/dt + B w + P f in one product with (v, w, f)."""
+    """Constant backward-Euler matrix M/dt + A (``lhs``, CSR) of the bundle
+    pre, factored once per run by a LAPACK band Cholesky, which ``solve``
+    applies; ``rhs_mat`` = [M/dt  B  P], P = [p_mass  p_a  p_b] a CSR block
+    of the load vectors' nonzeros, takes a step's M v/dt + B w + P f in one
+    product with (v, w, f).  Every block is CSR, so both are formed from
+    CSR arrays without a COO detour."""
 
     def __init__(self, pre: LoadPrecomputation, dt: float):
         mass_dt = pre.mass / dt
         self.lhs = (mass_dt + pre.a_mat).tocsr()
-        self.rhs_mat = sp.hstack(
-            [mass_dt, pre.b_mat,
-             np.column_stack((pre.p_mass, pre.p_a, pre.p_b))], format="csr")
+        loads = sp.csr_matrix(np.column_stack((pre.p_mass, pre.p_a, pre.p_b)))
+        # all-CSR blocks keep hstack on scipy's CSR path
+        self.rhs_mat = sp.hstack([mass_dt, pre.b_mat, loads], format="csr")
         self.solve = spd_solver(self.lhs)
 
 

@@ -1,0 +1,69 @@
+"""The sparse operators built the plain way: the test oracle for
+``fem.spd_solver``'s band, ``fem._matrix`` and ``TimeStepSystem.rhs_mat``.
+
+Each oracle takes the long route through scipy's generic helpers, which
+the package avoids for speed: the band from ``sp.triu`` in COO form, the
+symmetry gap from ``abs(mat - mat.T)``, each element matrix entry's sum
+over the quadrature points by ``np.apply_along_axis(math.fsum, ...)``, and
+the right-hand-side operator from ``sp.hstack`` with the load vectors as a
+dense block.  The fast paths must reproduce these bit for bit.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from fracvisco.fem import _classes
+
+
+def band(mat) -> np.ndarray:
+    """LAPACK upper band storage of the canonical matrix's upper triangle,
+    of its own half-bandwidth."""
+    n = mat.shape[0]
+    upper = sp.triu(mat, format="coo")
+    bw = int((upper.col - upper.row).max(initial=0))
+    ab = np.zeros((bw + 1, n), order="F")
+    ab[bw + upper.row - upper.col, upper.col] = upper.data
+    return ab
+
+
+def symmetry_message(mat) -> str:
+    """The ValueError text spd_solver gives a matrix that is not symmetric
+    to 1e-12 of its largest entry."""
+    return (f"spd_solver needs a symmetric matrix: the {mat.shape[0]}-dof "
+            f"matrix has |mat - mat^T| = {abs(mat - mat.T).max():.3e} "
+            f"against max|mat| = {abs(mat).max():.3e}")
+
+
+def matrix(mesh, dofs, table: str, tensor: np.ndarray) -> sp.csr_matrix:
+    """sum over cells of sum_q w_q B_q^T D B_q, each entry's sum over q by
+    apply_along_axis, the nonzero element entries scattered as COO."""
+    n = dofs.n_dofs
+    rows, cols, data = [], [], []
+    for cls, ed, _ in _classes(mesh, dofs):
+        b = getattr(cls, table)
+        emat = np.apply_along_axis(math.fsum, -1, np.einsum(
+            "q,qri,rs,qsj->ijq", cls.weights, b, tensor, b))
+        i, j = np.nonzero(emat)
+        rows.append(ed[:, i].ravel())
+        cols.append(ed[:, j].ravel())
+        data.append(np.broadcast_to(emat[i, j], (ed.shape[0], i.size)).ravel())
+    mat = sp.coo_matrix((np.concatenate(data),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n + 1, n + 1)).tocsr()
+    return mat[:n, :n]
+
+
+def rhs_mat(pre, dt: float) -> sp.csr_matrix:
+    """[M/dt  B  P] with P = [p_mass  p_a  p_b] a dense block."""
+    return sp.hstack([pre.mass / dt, pre.b_mat,
+                      np.column_stack((pre.p_mass, pre.p_a, pre.p_b))],
+                     format="csr")
+
+
+def same_csr(a, b) -> bool:
+    """Equal shape, indptr, indices and data."""
+    return (a.shape == b.shape
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("indptr", "indices", "data")))

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sparse_oracle
+from fracvisco import fem
 from fracvisco.errors import BudgetExceeded, SolveFailure
 from fracvisco.fem import (DofMap, Material, a_form_matrix, assemble_elastic,
                            assemble_mass, b_form_matrix, build_dof_map,
                            elastic_load, l2_error, mass_load, ritz_project,
                            spd_solver)
 from fracvisco.mesh import build_mesh
-from fracvisco.problems import _field_ex61, _grad_ex61
+from fracvisco.problems import (_field_ex61, _grad_ex61, get_problem,
+                                precompute_loads)
+from fracvisco.stepper import TimeStepSystem
 
 
 def full_dof_map(mesh):
@@ -295,6 +299,105 @@ class TestSolvers:
         with pytest.raises(BudgetExceeded, match="half-bandwidth 999999"):
             spd_solver(corners)
         assert time.perf_counter() - t0 < 0.5
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    @pytest.mark.parametrize("table, tensor", [
+        ("values", np.eye(2)),
+        ("strains", fem._elastic_tensor(1.0, 2.0))])
+    @pytest.mark.parametrize("dof_map", [build_dof_map, full_dof_map])
+    def test_matrix_matches_apply_along_axis(self, kind, table, tensor,
+                                             dof_map):
+        # the list of per-entry fsums gives the oracle's CSR arrays exactly
+        mesh = build_mesh(kind, 6)
+        dofs = dof_map(mesh)
+        assert sparse_oracle.same_csr(
+            fem._matrix(mesh, dofs, table, tensor),
+            sparse_oracle.matrix(mesh, dofs, table, tensor))
+
+
+def _lhs(kind: str, n: int = 8) -> sp.csr_matrix:
+    """The bundle's backward-Euler matrix M/dt + A at dt = 0.5/n^2."""
+    mesh = build_mesh(kind, n)
+    pre = precompute_loads(mesh, build_dof_map(mesh), get_problem("ex61"))
+    return TimeStepSystem(pre, 0.5 / n ** 2).lhs
+
+
+def _band_of(monkeypatch, mat) -> np.ndarray:
+    """The band spd_solver hands to dpbtrf, copied before it is factored."""
+    seen, dpbtrf = [], fem.dpbtrf
+
+    def spy(ab, overwrite_ab=0):
+        seen.append(ab.copy(order="F"))
+        return dpbtrf(ab, overwrite_ab=overwrite_ab)
+
+    monkeypatch.setattr(fem, "dpbtrf", spy)
+    spd_solver(mat)
+    return seen[0]
+
+
+def _duplicated(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """mat with every row stored twice at half value, the first copy in
+    reversed column order: unsorted, with duplicates, summing to mat."""
+    indices, data = [], []
+    for r in range(mat.shape[0]):
+        cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]]
+        vals = mat.data[mat.indptr[r]:mat.indptr[r + 1]] / 2.0
+        indices += [cols[::-1], cols]
+        data += [vals[::-1], vals]
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                          2 * mat.indptr), shape=mat.shape)
+
+
+class TestBandFill:
+    """spd_solver fills its band from the CSR arrays; the sp.triu oracle
+    and the abs(mat - mat.T) check must see no difference."""
+
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_band_matches_triu_oracle(self, monkeypatch, kind):
+        lhs = _lhs(kind)
+        got = _band_of(monkeypatch, lhs)
+        assert got.flags.f_contiguous
+        assert got.shape == (2 * 8 + 2, lhs.shape[0])
+        assert np.array_equal(got, sparse_oracle.band(lhs))
+
+    @pytest.mark.parametrize("dense", [
+        [[4.0, 1.0], [1.0 + 1e-9, 4.0]],               # asymmetric values
+        [[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [0.0, 0.0, 4.0]],   # pattern
+        # the same entries per row as the transpose, in other columns
+        [[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [1.0, 0.0, 4.0]],
+        [[4.0, 1.0], [1.0 + 4.5e-12, 4.0]]],           # just over 1e-12
+        ids=["values", "pattern", "cyclic-pattern", "threshold"])
+    def test_asymmetry_raises_as_before(self, dense):
+        mat = sp.csr_matrix(np.array(dense))
+        with pytest.raises(ValueError) as err:
+            spd_solver(mat)
+        assert err.type is ValueError
+        assert str(err.value) == sparse_oracle.symmetry_message(mat)
+
+    def test_asymmetry_just_under_threshold_accepted(self):
+        mat = sp.csr_matrix(np.array([[4.0, 1.0], [1.0 + 3.5e-12, 4.0]]))
+        rhs = np.array([1.0, 2.0])
+        assert np.allclose(spd_solver(mat)(rhs),
+                           np.linalg.solve(mat.toarray(), rhs), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_non_canonical_input_summed_on_a_copy(self, monkeypatch, kind):
+        lhs = _lhs(kind)
+        messy = _duplicated(lhs)
+        assert not messy.has_canonical_format
+        saved = [a.copy() for a in (messy.indptr, messy.indices, messy.data)]
+        # halves sum exactly, so the band is lhs's to the bit
+        assert np.array_equal(_band_of(monkeypatch, messy),
+                              sparse_oracle.band(lhs))
+        rhs = np.random.default_rng(3).standard_normal(lhs.shape[0])
+        ref = np.linalg.solve(lhs.toarray(), rhs)
+        x = spd_solver(messy)(rhs)
+        assert np.abs(x - ref).max() < 1e-12 * np.abs(ref).max()
+        for now, before in zip((messy.indptr, messy.indices, messy.data),
+                               saved):
+            assert np.array_equal(now, before)
 
 
 class TestRitzProjection:

@@ -17,6 +17,7 @@ from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
 from fracvisco.soe import MemoryState, build_soe, theta_weights
 from fracvisco.stepper import (DirectHistory, RunResult, Scheme,
                                TimeStepSystem, direct_weights, run)
+import sparse_oracle
 from lag_replay import replay
 from spectral_oracle import temporal_solutions
 
@@ -226,6 +227,25 @@ class TestTimeStepSystem:
         got = system.rhs_mat @ np.concatenate((v, w, [-g, g, -it]))
         assert np.allclose(got, want, rtol=0.0,
                            atol=1e-13 * np.abs(want).max())
+
+
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_rhs_mat_matches_dense_load_hstack(self, kind):
+        # the CSR load block gives hstack's dense-block arrays exactly
+        mesh = build_mesh(kind, 8)
+        pre = precompute_loads(mesh, build_dof_map(mesh), get_problem("ex62"))
+        system = TimeStepSystem(pre, 0.01)
+        assert system.rhs_mat.format == "csr"
+        assert sparse_oracle.same_csr(system.rhs_mat,
+                                      sparse_oracle.rhs_mat(pre, 0.01))
+
+    def test_lhs_is_csr_storing_only_nonzeros(self):
+        # perfbench reads lhs.nnz as the factored matrix's nonzeros
+        mesh = build_mesh("quad", 8)
+        pre = precompute_loads(mesh, build_dof_map(mesh), get_problem("ex61"))
+        lhs = TimeStepSystem(pre, 0.01).lhs
+        assert lhs.format == "csr"
+        assert lhs.nnz == lhs.count_nonzero()
 
 
 class TestRun:
