@@ -14,7 +14,8 @@ benchmark workloads' runs: alpha = 0.3, 0.5 and 0.8 at N = 256
 Each case records the time of one pass of the scalar ``mlf.kernel_beta``
 over the grid, of one ``soe.engine_kernel`` call and of the run's
 ``build_soe`` call (eps = dt / 10, q = 10), each the median of 3 samples,
-and the largest difference of the two references.
+a sample the mean of as many calls as fill ``bench_solve.SAMPLE_S``
+seconds, and the largest difference of the two references.
 The source tree is given by ``--src`` (default: this repository's ``src``)
 and BLAS runs on one thread.  Each case also times perfbench's reference
 work before and after its samples (``reference_s``) and gives the medians
@@ -40,12 +41,19 @@ import sys
 from pathlib import Path
 
 from bench_history import ReferenceClock, bench_main, machine
-from bench_solve import median_time
+from bench_solve import SAMPLE_S, median_time, reps_for
 
 CASES = ((0.3, 256), (0.5, 256), (0.8, 256),
          (0.5, 5), (0.5, 10), (0.5, 20), (0.5, 40))
 TABLE_CASES = CASES + ((0.5, 1500),)
 TAU_SIGMA, FINAL_TIME = 0.5, 1.0
+
+
+def timed(fns: dict) -> dict:
+    """name -> median_time of each function, a sample the mean of as many
+    calls as fill SAMPLE_S seconds (counted by reps_for before sampling)."""
+    counts = {name: reps_for(fn) for name, fn in fns.items()}
+    return {name: median_time(fn, counts[name]) for name, fn in fns.items()}
 
 
 def table_record(clock) -> list[dict]:
@@ -59,11 +67,11 @@ def table_record(clock) -> list[dict]:
         dt = FINAL_TIME / n_steps
         times = dt * np.arange(1, n_steps + 1)
         mat = Material(alpha=alpha, tau_sigma=TAU_SIGMA)
-        medians, ref_time = clock.around(lambda: {
-            "conv_table_s": median_time(lambda: problems.conv_factor_grid(
-                alpha, TAU_SIGMA, times)),
-            "antiderivative_s": median_time(lambda: stepper.direct_weights(
-                mat, dt, n_steps))})
+        medians, ref_time = clock.around(lambda: timed({
+            "conv_table_s": lambda: problems.conv_factor_grid(
+                alpha, TAU_SIGMA, times),
+            "antiderivative_s": lambda: stepper.direct_weights(
+                mat, dt, n_steps)}))
         case = {"alpha": alpha, "n_steps": n_steps, **medians,
                 "reference_s": ref_time}
         for name in ("conv_table_s", "antiderivative_s"):
@@ -91,11 +99,11 @@ def certify_record(src: Path) -> dict:
             return np.array([mlf.kernel_beta(alpha, 1.0, float(t))
                              for t in grid])
 
-        medians, ref_time = clock.around(lambda: {
-            "mlf_s": median_time(by_mlf),
-            "engine_s": median_time(lambda: soe.engine_kernel(alpha, grid)),
-            "build_soe_s": median_time(lambda: soe.build_soe(
-                alpha, dt / 10.0, 10.0, t_min, t_max))})
+        medians, ref_time = clock.around(lambda: timed({
+            "mlf_s": by_mlf,
+            "engine_s": lambda: soe.engine_kernel(alpha, grid),
+            "build_soe_s": lambda: soe.build_soe(
+                alpha, dt / 10.0, 10.0, t_min, t_max)}))
         case = {"alpha": alpha, "n_steps": n_steps, "t_min": t_min,
                 "t_max": t_max, **medians, "reference_s": ref_time,
                 "max_abs_diff": float(np.abs(soe.engine_kernel(alpha, grid)
@@ -107,7 +115,8 @@ def certify_record(src: Path) -> dict:
               f"engine {case['engine_s'] * 1e3:.1f} ms, build_soe "
               f"{case['build_soe_s'] * 1e3:.1f} ms", file=sys.stderr)
     return {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "samples": soe.CERTIFY_SAMPLES, "machine": machine(),
+            "samples": soe.CERTIFY_SAMPLES, "sample_s": SAMPLE_S,
+            "machine": machine(),
             "cases": cases, "tables": table_record(clock)}
 
 

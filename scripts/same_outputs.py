@@ -22,14 +22,18 @@ those runs' sizes: the I(t) table, the direct lag weights and the kernel on
 the grid that certifies the run's SOE, every entry printed with repr, and
 the exponential sums of the fast runs among them: each built sum's nodes,
 weights and eps_certified, its compressed sum's nodes, weights and
-lag_deviation, and the lag weights theta_1..theta_N of both, by repr.
-These three kinds of case print one ``label<TAB>repr`` line per table,
+lag_deviation, and the lag weights theta_1..theta_N of both, by repr,
+and the per-mesh bundle of ``problems.precompute_loads`` on quad and tri
+meshes at n = 6 under the default material and a non-default one: M, A and
+B (dense, row-major) and p_mass, p_a, p_b and v0, by repr.
+These four kinds of case print one ``label<TAB>repr`` line per table,
 the label ending in the table's name.
 Prints one IDENTICAL or DIFFERENT line per case; a DIFFERENT case of those
 kinds also gets the largest relative change, max |after/before - 1|, of
 each table name (``error`` for the pinned errors, ``I``, ``w`` and ``beta``
 for the engine tables, ``built.nodes`` ... ``compressed.theta`` for the
-sums) and names every table whose length changed (a node count of a sum).
+sums, ``M`` ... ``v0`` for the bundle) and names every table whose length
+changed (a node count of a sum).
 Exits 1 on any difference or failed run.
 """
 
@@ -145,6 +149,26 @@ for workload in ("spatial-fast", "temporal-ladder"):
                       repr(value), sep="\t")
 """
 
+# The per-mesh operators of precompute_loads, under two materials.
+BUNDLE_OPERATORS = """\
+from fracvisco import fem, mesh, problems
+materials = {"default": fem.Material(),
+             "other": fem.Material(rho=2.5, tau_sigma=0.25, alpha=0.3,
+                                   mu_c=1.5, mu_d=0.5)}
+for kind, name in (("quad", "ex61"), ("tri", "ex62")):
+    msh = mesh.build_mesh(kind, 6)
+    dofs = fem.build_dof_map(msh)
+    for label, mat in materials.items():
+        pre = problems.precompute_loads(msh, dofs,
+                                        problems.get_problem(name, mat))
+        tables = {"M": pre.mass.toarray(), "A": pre.a_mat.toarray(),
+                  "B": pre.b_mat.toarray(), "p_mass": pre.p_mass,
+                  "p_a": pre.p_a, "p_b": pre.p_b, "v0": pre.v0}
+        for table, value in tables.items():
+            print(f"{kind} {name} {label} {table}",
+                  repr(value.ravel().tolist()), sep="\t")
+"""
+
 # name -> (python source, its argv; OUT and the CONFIGS keys are filled
 # per run)
 CASES = {
@@ -182,9 +206,10 @@ CASES = {
        for w in ("spatial-fast", "temporal-ladder", "direct-long")},
     "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),
     "SOE sums": (SOE_SUMS, [str(ROOT / "perfbench")]),
+    "bundle operators": (BUNDLE_OPERATORS, []),
 }
 #: the case sources that print label<TAB>repr tables
-TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS)
+TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS, BUNDLE_OPERATORS)
 
 
 def _without_timings(name: str, data: bytes) -> bytes:

@@ -10,15 +10,16 @@ every P1/Q1 matrix: degree 4 on triangles, 3 x 3 Gauss on squares.  At its
 points the tables hold the basis fields (``values``) and their Voigt strains
 (``strains``).  Every matrix is sum_q w_q B^T D B (each element entry's
 sum over q correctly rounded by math.fsum) and every load sum_q w_q
-(D f)^T B, with B one table and D the identity (mass) or the Voigt
-elasticity tensor; eliminated dofs scatter into an extra slot that is
-dropped.
+(D f)^T B, with B one table and D the form's tensor: the identity (mass) or
+the material's ``a_tensor`` or ``b_tensor``; eliminated dofs scatter into
+an extra slot that is dropped.
 
-Assembled matrices are scipy CSR; the mass matrix and the a-form matrix are
-SPD, the b-form matrix is symmetric but may be indefinite or zero.  Interior
-vertices are numbered row-major, so every matrix has half-bandwidth 2n + 1
-in dof order, and SPD systems are solved by a LAPACK band Cholesky factor
-(:func:`spd_solver`) whose band is filled straight from the CSR arrays.
+Assembled matrices are scipy CSR, and no assembled matrix stores a zero;
+M and the a-form matrix are SPD, the b-form matrix is symmetric but may be
+indefinite or zero.  Interior vertices are numbered row-major, so every
+matrix has half-bandwidth 2n + 1 in dof order, and SPD systems are solved by
+a LAPACK band Cholesky factor (:func:`spd_solver`) whose band is filled
+straight from the CSR arrays.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ class Material:
     def ratio_alpha(self) -> float:
         """(tau_eps / tau_sigma)**alpha, the b-form coupling factor."""
         return (self.tau_eps / self.tau_sigma) ** self.alpha
+
+    @property
+    def a_tensor(self) -> np.ndarray:
+        """Voigt tensor C / rho of the a-form."""
+        return (1.0 / self.rho) * _elastic_tensor(self.mu_c, self.lambda_c)
+
+    @property
+    def b_tensor(self) -> np.ndarray:
+        """Voigt tensor (C - ratio_alpha D) / rho of the b-form."""
+        return (_elastic_tensor(self.mu_c, self.lambda_c) - self.ratio_alpha
+                * _elastic_tensor(self.mu_d, self.lambda_d)) / self.rho
 
 
 @dataclass(frozen=True)
@@ -172,15 +184,15 @@ def _elastic_tensor(mu: float, lam: float) -> np.ndarray:
 def _matrix(mesh: Mesh, dofs: DofMap, table: str,
             tensor: np.ndarray) -> sp.csr_matrix:
     """Sum over cells of sum_q w_q B_q^T D B_q, with B the class's `table`
-    ("values" or "strains") and D = tensor.  Only the element matrix's
-    nonzero entries are scattered, so the mass matrix stores none of its
-    cross-component zeros."""
+    ("values" or "strains") and D = tensor, the form's tensor.  Only the
+    element matrix's nonzero entries are scattered, and entries that cancel
+    across cells are pruned, so no assembled matrix stores a zero."""
     n = dofs.n_dofs
     rows, cols, data = [], [], []
     for cls, ed, _ in _classes(mesh, dofs):
         b = getattr(cls, table)
         # correctly rounded sums over q keep mirror-image entries exact
-        # negatives, so entries whose integrals cancel across cells stay 0
+        # negatives, so entries whose integrals cancel across cells sum to 0
         prod = np.einsum("q,qri,rs,qsj->ijq", cls.weights, b, tensor, b)
         emat = np.array([math.fsum(terms) for terms in
                          prod.reshape(-1, prod.shape[-1]).tolist()]
@@ -191,8 +203,9 @@ def _matrix(mesh: Mesh, dofs: DofMap, table: str,
         data.append(np.broadcast_to(emat[i, j], (ed.shape[0], i.size)).ravel())
     mat = sp.coo_matrix((np.concatenate(data),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n + 1, n + 1)).tocsr()
-    return mat[:n, :n]
+                        shape=(n + 1, n + 1)).tocsr()[:n, :n]
+    mat.eliminate_zeros()
+    return mat
 
 
 def _load(mesh: Mesh, dofs: DofMap, table: str, tensor: np.ndarray,
@@ -213,23 +226,14 @@ def assemble_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     return _matrix(mesh, dofs, "values", np.eye(2))
 
 
-def assemble_elastic(mesh: Mesh, dofs: DofMap, mu: float, lam: float,
-                     scale: float = 1.0) -> sp.csr_matrix:
-    """Elasticity form scale * int [2 mu eps(u):eps(v) + lam div u div v]."""
-    return _matrix(mesh, dofs, "strains", scale * _elastic_tensor(mu, lam))
-
-
 def a_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material) -> sp.csr_matrix:
-    """SPD matrix of the a-form (density-scaled C tensor)."""
-    return assemble_elastic(mesh, dofs, mat.mu_c, mat.lambda_c, 1.0 / mat.rho)
+    """SPD matrix of the a-form, tensor C / rho."""
+    return _matrix(mesh, dofs, "strains", mat.a_tensor)
 
 
-def b_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material,
-                  a_mat: sp.csr_matrix) -> sp.csr_matrix:
-    """Matrix of the b-form, (C - (tau_eps/tau_sigma)^alpha D) / rho, from
-    the a-form matrix a_mat = C / rho."""
-    kd = assemble_elastic(mesh, dofs, mat.mu_d, mat.lambda_d, 1.0)
-    return (a_mat - (mat.ratio_alpha / mat.rho) * kd).tocsr()
+def b_form_matrix(mesh: Mesh, dofs: DofMap, mat: Material) -> sp.csr_matrix:
+    """Matrix of the b-form, tensor (C - (tau_eps/tau_sigma)^alpha D) / rho."""
+    return _matrix(mesh, dofs, "strains", mat.b_tensor)
 
 
 def mass_load(mesh: Mesh, dofs: DofMap, value_fn) -> np.ndarray:
@@ -237,9 +241,9 @@ def mass_load(mesh: Mesh, dofs: DofMap, value_fn) -> np.ndarray:
     return _load(mesh, dofs, "values", np.eye(2), value_fn)
 
 
-def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn, mu: float, lam: float,
-                 scale: float = 1.0) -> np.ndarray:
-    """Vector with entries scale * [2 mu eps(V):eps(phi_i) + lam div V div phi_i].
+def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn,
+                 tensor: np.ndarray) -> np.ndarray:
+    """Vector with entries int (D eps(V)) . eps(phi_i), D the Voigt tensor.
 
     grad_fn(x, y) returns G with G[..., k, l] = d V_k / d x_l.
     """
@@ -248,8 +252,7 @@ def elastic_load(mesh: Mesh, dofs: DofMap, grad_fn, mu: float, lam: float,
         return np.stack([g[..., 0, 0], g[..., 1, 1],
                          g[..., 0, 1] + g[..., 1, 0]], axis=-1)
 
-    return _load(mesh, dofs, "strains", scale * _elastic_tensor(mu, lam),
-                 strain)
+    return _load(mesh, dofs, "strains", tensor, strain)
 
 
 def l2_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray, exact) -> float:
@@ -324,6 +327,5 @@ def ritz_project(mesh: Mesh, dofs: DofMap, a_matrix: sp.csr_matrix,
     The right-hand side a(V, phi_i) is integrated elementwise from the
     analytic gradient, so only exact_grad is needed.
     """
-    rhs = elastic_load(mesh, dofs, exact_grad, mat.mu_c, mat.lambda_c,
-                       1.0 / mat.rho)
+    rhs = elastic_load(mesh, dofs, exact_grad, mat.a_tensor)
     return spd_solver(a_matrix)(rhs)

@@ -134,22 +134,18 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
                      problem: ManufacturedProblem) -> LoadPrecomputation:
     """Assemble what a run on this mesh needs independently of dt.
 
-    The Ritz right-hand side is p_a itself, and the C-tensor part of p_b is
-    rho p_a, so each elastic integral of V is taken once.
+    Each elastic form is integrated once, on its own tensor, and the Ritz
+    right-hand side is p_a itself.
     """
-    mat = problem.material
+    mat, grad = problem.material, problem.spatial_gradient
     a_mat = a_form_matrix(mesh, dofs, mat)
-    p_a = elastic_load(mesh, dofs, problem.spatial_gradient,
-                       mat.mu_c, mat.lambda_c, 1.0 / mat.rho)
-    p_b = (mat.rho * p_a
-           - mat.ratio_alpha
-           * elastic_load(mesh, dofs, problem.spatial_gradient,
-                          mat.mu_d, mat.lambda_d, 1.0)) / mat.rho
+    p_a = elastic_load(mesh, dofs, grad, mat.a_tensor)
     return LoadPrecomputation(
         p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
-        p_b=p_b, a_mat=a_mat, mass=assemble_mass(mesh, dofs),
-        b_mat=b_form_matrix(mesh, dofs, mat, a_mat), v0=spd_solver(a_mat)(p_a),
-        material=mat, problem=problem.name, mesh=(mesh.kind.value, mesh.n))
+        p_b=elastic_load(mesh, dofs, grad, mat.b_tensor), a_mat=a_mat,
+        mass=assemble_mass(mesh, dofs), b_mat=b_form_matrix(mesh, dofs, mat),
+        v0=spd_solver(a_mat)(p_a), material=mat, problem=problem.name,
+        mesh=(mesh.kind.value, mesh.n))
 
 
 def conv_factor_grid(alpha: float, tau_sigma: float,

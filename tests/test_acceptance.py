@@ -23,8 +23,8 @@ import time
 import numpy as np
 import pytest
 
-from fracvisco.fem import (Material, a_form_matrix, assemble_elastic,
-                           assemble_mass, b_form_matrix, build_dof_map)
+from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
+                           b_form_matrix, build_dof_map)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_beta, ml_bounds
 from fracvisco.problems import exact_error, get_problem, precompute_loads
@@ -332,7 +332,7 @@ class TestCriterion7StructuralProperties:
         # rigid motions carry no elastic energy
         mesh = build_mesh("tri", 6)
         dofs = full_dof_map(mesh)
-        k = assemble_elastic(mesh, dofs, 1.0, 1.0)
+        k = a_form_matrix(mesh, dofs, Material())
         u = np.zeros(dofs.n_dofs)
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         u[0::2], u[1::2] = -y, x
@@ -342,8 +342,7 @@ class TestCriterion7StructuralProperties:
         # matching tensors make the memory form vanish
         degenerate = Material(tau_sigma=1.0, tau_eps=1.0, mu_d=1.0,
                               lambda_d=1.0)
-        b = b_form_matrix(mesh, dofs, degenerate,
-                          a_form_matrix(mesh, dofs, degenerate))
+        b = b_form_matrix(mesh, dofs, degenerate)
         if abs(b).max() > 1e-13:
             failures.append("memory-form degeneration")
 

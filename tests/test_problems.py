@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from fracvisco.errors import QuadratureFailure
-from fracvisco.fem import (Material, a_form_matrix, assemble_mass,
-                           b_form_matrix, build_dof_map, elastic_load,
-                           mass_load, ritz_project, spd_solver)
+from fracvisco.fem import (Material, _elastic_tensor, _matrix, a_form_matrix,
+                           assemble_mass, b_form_matrix, build_dof_map,
+                           elastic_load, mass_load, ritz_project, spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_beta
 from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
@@ -163,6 +163,7 @@ class TestLoads:
         dofs = build_dof_map(mesh)
         pre = precompute_loads(mesh, dofs, get_problem("ex61", mat))
         assert np.abs(pre.p_b).max() < 1e-13
+        assert not pre.p_b.any() and pre.b_mat.nnz == 0
 
     def test_matches_strong_form_load(self):
         # integrating the pointwise momentum balance against the basis must
@@ -206,7 +207,7 @@ class TestLoads:
             dofs = build_dof_map(mesh)
             a = a_form_matrix(mesh, dofs, mat)
             m = assemble_mass(mesh, dofs)
-            b = b_form_matrix(mesh, dofs, mat, a)
+            b = b_form_matrix(mesh, dofs, mat)
             rh = ritz_project(mesh, dofs, a, mat, prob.spatial_gradient)
             pre = precompute_loads(mesh, dofs, prob)
             r = gp * (m @ rh - pre.p_mass) - it * (b @ rh - pre.p_b)
@@ -233,21 +234,29 @@ class TestPerMeshBundle:
         pre = precompute_loads(mesh, dofs, prob)
         a = a_form_matrix(mesh, dofs, mat)
         for got, want in ((pre.a_mat, a), (pre.mass, assemble_mass(mesh, dofs)),
-                          (pre.b_mat, b_form_matrix(mesh, dofs, mat, a))):
+                          (pre.b_mat, b_form_matrix(mesh, dofs, mat))):
             assert (got != want).nnz == 0
+            # no operator of the bundle stores a zero
+            assert got.nnz == np.count_nonzero(got.data)
         v0 = ritz_project(mesh, dofs, a, mat, prob.spatial_gradient)
         assert np.array_equal(pre.v0, v0)
 
     def test_memory_load_is_integrated_once_per_tensor(self):
-        # the C part of p_b is rho p_a; against the two-integral form
+        # p_b and B are integrated once, on the tensor (C - r D) / rho;
+        # against the two-integral forms (C part - r D part) / rho
         mesh = build_mesh("quad", 6)
         dofs = build_dof_map(mesh)
         mat = Material(rho=2.5)
         prob = get_problem("ex61", mat)
         pre = precompute_loads(mesh, dofs, prob)
         grad = prob.spatial_gradient
-        p_b = (elastic_load(mesh, dofs, grad, mat.mu_c, mat.lambda_c)
-               - mat.ratio_alpha
-               * elastic_load(mesh, dofs, grad, mat.mu_d, mat.lambda_d)) / mat.rho
+        c = _elastic_tensor(mat.mu_c, mat.lambda_c)
+        d = _elastic_tensor(mat.mu_d, mat.lambda_d)
+        p_b = (elastic_load(mesh, dofs, grad, c)
+               - mat.ratio_alpha * elastic_load(mesh, dofs, grad, d)) / mat.rho
         assert np.allclose(pre.p_b, p_b, rtol=0.0,
                            atol=1e-14 * np.abs(p_b).max())
+        b = (pre.a_mat - (mat.ratio_alpha / mat.rho)
+             * _matrix(mesh, dofs, "strains", d)).toarray()
+        assert np.allclose(pre.b_mat.toarray(), b, rtol=0.0,
+                           atol=1e-14 * np.abs(b).max())
