@@ -29,11 +29,14 @@ B (dense, row-major) and p_mass, p_a, p_b and v0, by repr.
 These four kinds of case print one ``label<TAB>repr`` line per table,
 the label ending in the table's name.
 Prints one IDENTICAL or DIFFERENT line per case; a DIFFERENT case of those
-kinds also gets the largest relative change, max |after/before - 1|, of
-each table name (``error`` for the pinned errors, ``I``, ``w`` and ``beta``
-for the engine tables, ``built.nodes`` ... ``compressed.theta`` for the
-sums, ``M`` ... ``v0`` for the bundle) and names every table whose length
-changed (a node count of a sum).
+kinds also gets the largest change of each table name (``error`` for the
+pinned errors, ``I``, ``w`` and ``beta`` for the engine tables,
+``built.nodes`` ... ``compressed.theta`` for the sums, ``M`` ... ``v0`` for
+the bundle), max |after - before| / max |before| over each table, so that
+roundoff in an entry near cancellation, or an entry that moves off 0, reads
+as roundoff of the table (a table that was all zeros is scaled by
+max |after|), and names every table whose length changed (a node count of a
+sum).
 Exits 1 on any difference or failed run.
 """
 
@@ -256,8 +259,9 @@ def _tables(out: bytes) -> dict[str, np.ndarray]:
 
 
 def _drift(before: bytes, after: bytes) -> list[str]:
-    """max |after / before - 1| per table name (a label's last word), and
-    each label whose table changed length."""
+    """max |after - before| / max |before| of each table, the largest per
+    table name (a label's last word), and each label whose table changed
+    length."""
     old, new = _tables(before), _tables(after)
     worst, resized = {}, []
     for label in sorted(old.keys() | new.keys()):
@@ -266,10 +270,11 @@ def _drift(before: bytes, after: bytes) -> list[str]:
         if was.size != now.size:
             resized.append(f"{label} {was.size} -> {now.size} entries")
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(was == now, 0.0, np.abs(now / was - 1.0))
-        worst[name] = max(worst.get(name, 0.0), float(rel.max(initial=0.0)))
-    return ["max |after/before - 1|: " + ", ".join(
+        change = float(np.abs(now - was).max(initial=0.0))
+        scale = np.abs(was).max(initial=0.0) or np.abs(now).max(initial=0.0)
+        worst[name] = max(worst.get(name, 0.0),
+                          change / scale if change else 0.0)
+    return ["max |after - before| / max |before|: " + ", ".join(
         f"{name} {value:.2e}" for name, value in worst.items())] + resized
 
 
