@@ -8,13 +8,14 @@ square) is a translate of a representative cell, so its operator tables are
 computed once per class.  Each cell kind has one quadrature rule, exact for
 every P1/Q1 matrix: degree 4 on triangles, 3 x 3 Gauss on squares.  At its
 points the tables hold the basis fields (``values``) and their Voigt strains
-(``strains``).  Every matrix is sum_q w_q B^T D B (each element entry's
-sum over q correctly rounded by math.fsum) and every load sum_q w_q
+(``strains``).  Every matrix is sum_q w_q B^T D B and every load sum_q w_q
 (D f)^T B, with B one table and D the form's tensor: the identity (mass) or
-the material's ``a_tensor`` or ``b_tensor``; eliminated dofs scatter into
-an extra slot that is dropped.
+the material's ``a_tensor`` or ``b_tensor``.  Matrices are built by stencil:
+vertices with the same incident cells share one row per component, each
+entry the correctly rounded sum (math.fsum) of all its quadrature terms,
+written into CSR from the vertex's neighbour dofs without exact zeros.
+Loads scatter cell by cell, eliminated dofs into a dropped extra slot.
 
-Assembled matrices are scipy CSR, and no assembled matrix stores a zero;
 M and the a-form matrix are SPD, the b-form matrix is symmetric but may be
 indefinite or zero.  Interior vertices are numbered row-major, so every
 matrix has half-bandwidth 2n + 1 in dof order, and SPD systems are solved by
@@ -25,11 +26,13 @@ straight from the CSR arrays.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolveFailure, require_memory
@@ -121,24 +124,25 @@ _SQUARE_RULE = _gauss_square()
 class _CellClass:
     """Operator tables at the quadrature points of one translate class.
 
-    offsets: physical quadrature positions relative to local vertex 0;
-    weights: physical measures (|det J| folded in); values[q] (2, 2k): the
-    fields of the 2k vector basis functions; strains[q] (3, 2k): their Voigt
-    strains (e_xx, e_yy, 2 e_xy).
+    corners: local vertex offsets (x, y) in cell spacings; offsets: physical
+    quadrature positions relative to local vertex 0; weights: physical
+    measures (|det J| folded in); values[q] (2, 2k): the fields of the 2k
+    vector basis functions; strains[q] (3, 2k): their Voigt strains (e_xx,
+    e_yy, 2 e_xy).
     """
 
-    def __init__(self, corners: np.ndarray, simplex: bool):
-        pts, w = _TRI_RULE if simplex else _SQUARE_RULE
-        if simplex:
-            jac = np.column_stack([corners[1] - corners[0],
-                                   corners[2] - corners[0]])
+    def __init__(self, corners: tuple, s: float):
+        self.corners = corners
+        pts, w = _TRI_RULE if len(corners) == 3 else _SQUARE_RULE
+        if len(corners) == 3:
+            xy = s * np.array(corners, dtype=float)
+            jac = np.column_stack([xy[1] - xy[0], xy[2] - xy[0]])
             basis = np.column_stack([1.0 - pts.sum(axis=1), pts])   # (nq, 3)
             ref_grad = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
             gx, gy = (ref_grad @ np.linalg.inv(jac)).T              # (3,) each
             self.offsets = pts @ jac.T
             self.weights = w * abs(np.linalg.det(jac))
-        else:
-            s = corners[1, 0] - corners[0, 0]  # axis-aligned square side
+        else:  # the axis-aligned square of side s
             xi, eta = pts[:, 0], pts[:, 1]
             basis = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
                                      xi * eta, (1 - xi) * eta])
@@ -154,25 +158,25 @@ class _CellClass:
         self.strains[:, 1, 1::2] = self.strains[:, 2, 0::2] = gy
 
 
+# the corners of each class in build_mesh's local vertex order: the square
+# v00, v10, v11, v01; the lower triangle v00, v10, v11 and the upper v00,
+# v11, v01, whose cells alternate
+_CORNERS = {MeshKind.QUADRILATERAL: (((0, 0), (1, 0), (1, 1), (0, 1)),),
+            MeshKind.TRIANGULAR: (((0, 0), (1, 0), (1, 1)),
+                                  ((0, 0), (1, 1), (0, 1)))}
+
+
 def _classes(mesh: Mesh, dofs: DofMap):
     """Yield (class tables, (n_cells, 2k) interleaved element dofs,
     (n_cells, nq, 2) physical quadrature points) per translate class.
     Eliminated dofs point at the extra slot n_dofs."""
-    s = mesh.spacing
-    ids = np.arange(mesh.cells.shape[0])
-    if mesh.kind is MeshKind.TRIANGULAR:
-        lower = np.array([[0.0, 0.0], [s, 0.0], [s, s]])
-        upper = np.array([[0.0, 0.0], [s, s], [0.0, s]])
-        classes = [(ids[0::2], _CellClass(lower, True)),
-                   (ids[1::2], _CellClass(upper, True))]
-    else:
-        square = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-        classes = [(ids, _CellClass(square, False))]
-    for cell_ids, cls in classes:
-        vd = dofs.vertex_dof[mesh.cells[cell_ids]][..., None]       # (nc, k, 1)
+    corners = _CORNERS[mesh.kind]
+    for m, c in enumerate(corners):
+        cls, cells = _CellClass(c, mesh.spacing), mesh.cells[m::len(corners)]
+        vd = dofs.vertex_dof[cells][..., None]                      # (nc, k, 1)
         ed = np.where(vd >= 0, 2 * vd + np.arange(2), dofs.n_dofs)
-        origins = mesh.vertices[mesh.cells[cell_ids, 0]]
-        yield cls, ed.reshape(len(cell_ids), -1), origins[:, None] + cls.offsets
+        origins = mesh.vertices[cells[:, 0]]
+        yield cls, ed.reshape(len(cells), -1), origins[:, None] + cls.offsets
 
 
 def _elastic_tensor(mu: float, lam: float) -> np.ndarray:
@@ -181,31 +185,69 @@ def _elastic_tensor(mu: float, lam: float) -> np.ndarray:
                      [0.0, 0.0, mu]])
 
 
+def _stencil(classes: list, kinds: np.ndarray, table: str,
+             tensor: np.ndarray) -> np.ndarray:
+    """(9, 36) entries [kind, (c, t, c2)] coupling component c of a vertex
+    of that kind with component c2 of its neighbour t = 3 (dy + 1) + dx + 1:
+    the math.fsum of the terms w_q (B_q^T D B_q)_ij of every cell the two
+    share.  A kind is 3 ky + kx, k = 0 on the low edge of its axis, 2 on the
+    high edge and 1 inside; kinds not listed are left 0."""
+    terms = [np.einsum("q,qri,rs,qsj->ijq", cls.weights, getattr(cls, table),
+                       tensor, getattr(cls, table)) for cls in classes]
+    out = np.zeros((9, 2, 9, 2))
+    for kind in kinds.tolist():
+        ky, kx = divmod(kind, 3)
+        blocks = defaultdict(list)   # t -> (2, 2, nq) term blocks
+        for cls, prod in zip(classes, terms):
+            for a, (ax, ay) in enumerate(cls.corners):
+                # a low-edge vertex is no cell's corner 1, a high-edge one
+                # no cell's corner 0
+                if kx == 2 - 2 * ax or ky == 2 - 2 * ay:
+                    continue
+                for b, (bx, by) in enumerate(cls.corners):
+                    blocks[3 * (by - ay + 1) + bx - ax + 1].append(
+                        prod[2 * a:2 * a + 2, 2 * b:2 * b + 2])
+        for t, block in blocks.items():
+            rows = np.concatenate(block, axis=-1).reshape(4, -1).tolist()
+            out[kind, :, t] = np.reshape([math.fsum(r) for r in rows], (2, 2))
+    return out.reshape(9, 36)
+
+
+def _matrices(mesh: Mesh, dofs: DofMap, forms) -> list[sp.csr_matrix]:
+    """The matrix sum over cells of sum_q w_q B_q^T D B_q of each (table,
+    tensor) form, B the class's table ("values" or "strains"), by stencil:
+    row 2p + c holds the nonzero entries of dof vertex p's stencil against
+    its neighbours with dofs, in their row-major order (column order when
+    vertex dofs increase with vertex number, as build_dof_map's do)."""
+    n, vdof = mesh.n, dofs.vertex_dof
+    owner = np.empty(dofs.n_dofs // 2, dtype=int)   # dof vertex -> vertex
+    owner[vdof[vdof >= 0]] = np.flatnonzero(vdof >= 0)
+    j, i = np.divmod(owner, n + 1)
+    kind = 3 * (np.minimum(j, 1) + (j == n)) + np.minimum(i, 1) + (i == n)
+    # int32 holds 2 n_dofs on any mesh whose tables below fit in memory
+    grid = np.full((n + 3, n + 3), -1, dtype=np.int32)
+    grid[1:-1, 1:-1] = vdof.reshape(n + 1, n + 1)
+    nbr = sliding_window_view(grid, (3, 3)).reshape(-1, 9)[owner]  # -1: none
+    # the 36 candidates [c, t, c2] of each row vertex: column, has a dof
+    cols = np.tile(np.repeat(2 * nbr, 2, axis=1)
+                   + np.tile(np.arange(2, dtype=np.int32), 9), 2).ravel()
+    has_dof = np.tile(np.repeat(nbr >= 0, 2, axis=1), 2).ravel()
+    row_ends = np.arange(0, cols.size + 1, 18)
+    classes = [_CellClass(c, mesh.spacing) for c in _CORNERS[mesh.kind]]
+    kinds, mats = np.unique(kind), []
+    for table, tensor in forms:
+        data = _stencil(classes, kinds, table, tensor)[kind].ravel()
+        keep = np.flatnonzero(has_dof & (data != 0.0))
+        mats.append(sp.csr_matrix(
+            (data[keep], cols[keep], np.searchsorted(keep, row_ends)),
+            shape=(dofs.n_dofs, dofs.n_dofs)))
+    return mats
+
+
 def _matrix(mesh: Mesh, dofs: DofMap, table: str,
             tensor: np.ndarray) -> sp.csr_matrix:
-    """Sum over cells of sum_q w_q B_q^T D B_q, with B the class's `table`
-    ("values" or "strains") and D = tensor, the form's tensor.  Only the
-    element matrix's nonzero entries are scattered, and entries that cancel
-    across cells are pruned, so no assembled matrix stores a zero."""
-    n = dofs.n_dofs
-    rows, cols, data = [], [], []
-    for cls, ed, _ in _classes(mesh, dofs):
-        b = getattr(cls, table)
-        # correctly rounded sums over q keep mirror-image entries exact
-        # negatives, so entries whose integrals cancel across cells sum to 0
-        prod = np.einsum("q,qri,rs,qsj->ijq", cls.weights, b, tensor, b)
-        emat = np.array([math.fsum(terms) for terms in
-                         prod.reshape(-1, prod.shape[-1]).tolist()]
-                        ).reshape(prod.shape[:2])
-        i, j = np.nonzero(emat)
-        rows.append(ed[:, i].ravel())
-        cols.append(ed[:, j].ravel())
-        data.append(np.broadcast_to(emat[i, j], (ed.shape[0], i.size)).ravel())
-    mat = sp.coo_matrix((np.concatenate(data),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n + 1, n + 1)).tocsr()[:n, :n]
-    mat.eliminate_zeros()
-    return mat
+    """The matrix of one (table, tensor) form, as :func:`_matrices`."""
+    return _matrices(mesh, dofs, [(table, tensor)])[0]
 
 
 def _load(mesh: Mesh, dofs: DofMap, table: str, tensor: np.ndarray,

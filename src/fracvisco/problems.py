@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DofMap, Material, a_form_matrix, assemble_mass,
-                  b_form_matrix, elastic_load, l2_error, mass_load, spd_solver)
+from .fem import (DofMap, Material, _matrices, elastic_load, l2_error,
+                  mass_load, spd_solver)
 from .mesh import Mesh
 from .soe import exp_convolution
 
@@ -134,18 +134,19 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
                      problem: ManufacturedProblem) -> LoadPrecomputation:
     """Assemble what a run on this mesh needs independently of dt.
 
-    Each elastic form is integrated once, on its own tensor, and the Ritz
-    right-hand side is p_a itself.
+    Each elastic form is integrated once, on its own tensor, M, A and B are
+    built on one neighbour table, and the Ritz right-hand side is p_a itself.
     """
     mat, grad = problem.material, problem.spatial_gradient
-    a_mat = a_form_matrix(mesh, dofs, mat)
+    mass, a_mat, b_mat = _matrices(mesh, dofs, [
+        ("values", np.eye(2)), ("strains", mat.a_tensor),
+        ("strains", mat.b_tensor)])
     p_a = elastic_load(mesh, dofs, grad, mat.a_tensor)
     return LoadPrecomputation(
         p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
         p_b=elastic_load(mesh, dofs, grad, mat.b_tensor), a_mat=a_mat,
-        mass=assemble_mass(mesh, dofs), b_mat=b_form_matrix(mesh, dofs, mat),
-        v0=spd_solver(a_mat)(p_a), material=mat, problem=problem.name,
-        mesh=(mesh.kind.value, mesh.n))
+        mass=mass, b_mat=b_mat, v0=spd_solver(a_mat)(p_a), material=mat,
+        problem=problem.name, mesh=(mesh.kind.value, mesh.n))
 
 
 def conv_factor_grid(alpha: float, tau_sigma: float,

@@ -198,7 +198,7 @@ def _exp_sum(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.min(t, initial=math.inf) * a > 746.0))
     hi = max(lo, a.size - np.count_nonzero(np.logical_and.accumulate(
         np.max(t, initial=0.0) * a[::-1] <= 2.0 ** -60)))
-    m = np.multiply.outer(-t, a[lo:hi])
+    m = np.einsum("...,j->...j", -t, a[lo:hi])
     return np.exp(m, out=m) @ b[lo:hi] + b[hi:].sum()
 
 
@@ -376,7 +376,7 @@ def exp_convolution(alpha: float, tau_sigma: float, times) -> np.ndarray:
         c = 1.0 - a / tau_sigma    # non-decreasing, as a is non-increasing
         lo = np.count_nonzero(t.min() * c < -40.0)
         hi = max(lo, np.count_nonzero(c != 1.0))
-        m = np.multiply.outer(t, c[lo:hi])    # the middle arguments x_j
+        m = np.einsum("...,j->...j", t, c[lo:hi])  # the middle arguments x_j
         e = np.expm1(m)
         with np.errstate(invalid="ignore"):
             np.divide(e, m, out=e)

@@ -3,13 +3,17 @@
 
 Each oracle takes the long route through scipy's generic helpers, which
 the package avoids for speed: the band from ``sp.triu`` in COO form, the
-symmetry gap from ``abs(mat - mat.T)``, each element matrix entry's sum
-over the quadrature points by ``np.apply_along_axis(math.fsum, ...)``, and
-the right-hand-side operator from ``sp.hstack`` with the load vectors as a
-dense block.  The fast paths must reproduce these bit for bit.
+symmetry gap from ``abs(mat - mat.T)``, the assembled matrix cell by cell,
+gathering every quadrature term of every (row, col) entry into a dict and
+taking one ``math.fsum`` per entry, so each entry is the correctly rounded
+sum of its terms (what ``fem``'s stencil build claims, without its
+stencils), and the right-hand-side operator from ``sp.hstack`` with the
+load vectors as a dense block.  The fast paths must reproduce these bit
+for bit.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,22 +41,22 @@ def symmetry_message(mat) -> str:
 
 
 def matrix(mesh, dofs, table: str, tensor: np.ndarray) -> sp.csr_matrix:
-    """sum over cells of sum_q w_q B_q^T D B_q, each entry's sum over q by
-    apply_along_axis, the nonzero element entries scattered as COO."""
+    """sum over cells of sum_q w_q B_q^T D B_q, each entry the math.fsum of
+    all its terms over all cells, entries that sum to 0 stored."""
     n = dofs.n_dofs
-    rows, cols, data = [], [], []
+    terms = defaultdict(list)
     for cls, ed, _ in _classes(mesh, dofs):
         b = getattr(cls, table)
-        emat = np.apply_along_axis(math.fsum, -1, np.einsum(
-            "q,qri,rs,qsj->ijq", cls.weights, b, tensor, b))
-        i, j = np.nonzero(emat)
-        rows.append(ed[:, i].ravel())
-        cols.append(ed[:, j].ravel())
-        data.append(np.broadcast_to(emat[i, j], (ed.shape[0], i.size)).ravel())
-    mat = sp.coo_matrix((np.concatenate(data),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n + 1, n + 1)).tocsr()
-    return mat[:n, :n]
+        prod = np.einsum("q,qri,rs,qsj->ijq", cls.weights, b, tensor,
+                         b).tolist()
+        for cell in ed.tolist():
+            for i, row in enumerate(cell):
+                for j, col in enumerate(cell):
+                    if row < n and col < n:
+                        terms[row, col] += prod[i][j]
+    rows, cols = np.array(list(terms), dtype=int).reshape(-1, 2).T
+    data = [math.fsum(values) for values in terms.values()]
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def rhs_mat(pre, dt: float) -> sp.csr_matrix:

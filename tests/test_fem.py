@@ -311,14 +311,36 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("dof_map", [build_dof_map, full_dof_map])
     def test_matrix_matches_apply_along_axis(self, kind, table, tensor,
                                              dof_map):
-        # the list of per-entry fsums gives the oracle's CSR arrays exactly,
-        # once the oracle's entries that cancel across cells are pruned
+        # every entry is the correctly rounded sum of its quadrature terms,
+        # so the stencil build gives the oracle's CSR arrays exactly, once
+        # the oracle's entries that cancel across cells are pruned
         mesh = build_mesh(kind, 6)
         dofs = dof_map(mesh)
         want = sparse_oracle.matrix(mesh, dofs, table, tensor)
         want.eliminate_zeros()
         assert sparse_oracle.same_csr(fem._matrix(mesh, dofs, table, tensor),
                                       want)
+
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_rows_away_from_the_boundary_are_one_stencil(self, kind):
+        # a vertex two or more cells from the boundary has every cell and
+        # neighbour dof around it, so each component's row of M, A and B is
+        # the same values at the same column offsets from its own dof
+        n = 8
+        mesh = build_mesh(kind, n)
+        dofs = build_dof_map(mesh)
+        pre = precompute_loads(mesh, dofs, get_problem("ex61"))
+        i, j = np.meshgrid(np.arange(2, n - 1), np.arange(2, n - 1))
+        deep = dofs.vertex_dof[(j * (n + 1) + i).ravel()]
+        for mat in (pre.mass, pre.a_mat, pre.b_mat):
+            for c in range(2):
+                rows = [(r, slice(mat.indptr[r], mat.indptr[r + 1]))
+                        for r in 2 * deep + c]
+                first, span = rows[0]
+                for row, span_row in rows[1:]:
+                    assert np.array_equal(mat.data[span_row], mat.data[span])
+                    assert np.array_equal(mat.indices[span_row] - row,
+                                          mat.indices[span] - first)
 
 
 def _lhs(kind: str, n: int = 8) -> sp.csr_matrix:
