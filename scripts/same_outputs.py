@@ -25,14 +25,17 @@ weights and eps_certified, its compressed sum's nodes, weights and
 lag_deviation, and the lag weights theta_1..theta_N of both, by repr,
 and the per-mesh bundle of ``problems.precompute_loads`` on quad and tri
 meshes at n = 6 under the default material and a non-default one: M, A and
-B (dense, row-major) and p_mass, p_a, p_b and v0, by repr.
-These four kinds of case print one ``label<TAB>repr`` line per table,
+B (dense, row-major) and p_mass, p_a, p_b and v0, by repr, and the
+meshes of ``mesh.build_mesh`` (quad and tri, n = 2, 3 and 6): vertices,
+cells and boundary_vertex, by repr.
+These five kinds of case print one ``label<TAB>repr`` line per table,
 the label ending in the table's name.
 Prints one IDENTICAL or DIFFERENT line per case; a DIFFERENT case of those
 kinds also gets the largest change of each table name (``error`` for the
 pinned errors, ``I``, ``w`` and ``beta`` for the engine tables,
 ``built.nodes`` ... ``compressed.theta`` for the sums, ``M`` ... ``v0`` for
-the bundle), max |after - before| / max |before| over each table, so that
+the bundle, ``vertices`` ... ``boundary_vertex`` for the meshes),
+max |after - before| / max |before| over each table, so that
 roundoff in an entry near cancellation, or an entry that moves off 0, reads
 as roundoff of the table (a table that was all zeros is scaled by
 max |after|), and names every table whose length changed (a node count of a
@@ -172,6 +175,17 @@ for kind, name in (("quad", "ex61"), ("tri", "ex62")):
                   repr(value.ravel().tolist()), sep="\t")
 """
 
+# The meshes themselves: every vertex, cell and boundary flag.
+MESHES = """\
+from fracvisco import mesh
+for kind in ("quad", "tri"):
+    for n in (2, 3, 6):
+        msh = mesh.build_mesh(kind, n)
+        for table in ("vertices", "cells", "boundary_vertex"):
+            print(f"{kind} n={n} {table}",
+                  repr(getattr(msh, table).ravel().tolist()), sep="\t")
+"""
+
 # name -> (python source, its argv; OUT and the CONFIGS keys are filled
 # per run)
 CASES = {
@@ -210,9 +224,10 @@ CASES = {
     "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),
     "SOE sums": (SOE_SUMS, [str(ROOT / "perfbench")]),
     "bundle operators": (BUNDLE_OPERATORS, []),
+    "mesh": (MESHES, []),
 }
 #: the case sources that print label<TAB>repr tables
-TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS, BUNDLE_OPERATORS)
+TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS, BUNDLE_OPERATORS, MESHES)
 
 
 def _without_timings(name: str, data: bytes) -> bytes:

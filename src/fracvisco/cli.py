@@ -267,7 +267,8 @@ def cmd_soe_table(alpha: float, eps: float, q: float, t_min: float,
                   t_max: float, out_dir: Path) -> str:
     soe = build_soe(alpha, eps, q, t_min=t_min, t_max=t_max)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / f"soe_alpha{alpha}_eps{eps:.0e}.txt"
+    eps_name = np.format_float_scientific(eps, trim="-")
+    table_path = out_dir / f"soe_alpha{alpha}_eps{eps_name}.txt"
     write_table(soe, table_path)
     report = (f"alpha={alpha} q={q} target={eps:.3e} range=[{t_min:.3e},"
               f" {t_max:.3e}] N_exp={soe.n_exp} "

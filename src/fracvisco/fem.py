@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolveFailure, require_memory
-from .mesh import Mesh, MeshKind
+from .mesh import CORNERS, Mesh
 
 
 @dataclass(frozen=True)
@@ -158,19 +158,11 @@ class _CellClass:
         self.strains[:, 1, 1::2] = self.strains[:, 2, 0::2] = gy
 
 
-# the corners of each class in build_mesh's local vertex order: the square
-# v00, v10, v11, v01; the lower triangle v00, v10, v11 and the upper v00,
-# v11, v01, whose cells alternate
-_CORNERS = {MeshKind.QUADRILATERAL: (((0, 0), (1, 0), (1, 1), (0, 1)),),
-            MeshKind.TRIANGULAR: (((0, 0), (1, 0), (1, 1)),
-                                  ((0, 0), (1, 1), (0, 1)))}
-
-
 def _classes(mesh: Mesh, dofs: DofMap):
     """Yield (class tables, (n_cells, 2k) interleaved element dofs,
     (n_cells, nq, 2) physical quadrature points) per translate class.
     Eliminated dofs point at the extra slot n_dofs."""
-    corners = _CORNERS[mesh.kind]
+    corners = CORNERS[mesh.kind]
     for m, c in enumerate(corners):
         cls, cells = _CellClass(c, mesh.spacing), mesh.cells[m::len(corners)]
         vd = dofs.vertex_dof[cells][..., None]                      # (nc, k, 1)
@@ -233,7 +225,7 @@ def _matrices(mesh: Mesh, dofs: DofMap, forms) -> list[sp.csr_matrix]:
                    + np.tile(np.arange(2, dtype=np.int32), 9), 2).ravel()
     has_dof = np.tile(np.repeat(nbr >= 0, 2, axis=1), 2).ravel()
     row_ends = np.arange(0, cols.size + 1, 18)
-    classes = [_CellClass(c, mesh.spacing) for c in _CORNERS[mesh.kind]]
+    classes = [_CellClass(c, mesh.spacing) for c in CORNERS[mesh.kind]]
     kinds, mats = np.unique(kind), []
     for table, tensor in forms:
         data = _stencil(classes, kinds, table, tensor)[kind].ravel()

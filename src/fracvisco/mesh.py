@@ -22,6 +22,14 @@ class MeshKind(str, Enum):
     QUADRILATERAL = "quad"
 
 
+#: each cell class's corners, as (x, y) offsets in cell spacings from the
+#: square's lower-left vertex, counterclockwise.  With k classes, row
+#: k s + m of ``cells`` is square s's class-m cell (squares row-major).
+CORNERS = {MeshKind.QUADRILATERAL: (((0, 0), (1, 0), (1, 1), (0, 1)),),
+           MeshKind.TRIANGULAR: (((0, 0), (1, 0), (1, 1)),
+                                 ((0, 0), (1, 1), (0, 1)))}
+
+
 @dataclass(frozen=True)
 class Mesh:
     kind: MeshKind
@@ -45,25 +53,10 @@ def build_mesh(kind: MeshKind | str, n: int) -> Mesh:
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i: int | np.ndarray, j: int | np.ndarray) -> np.ndarray:
-        # column i (x), row j (y), row-major
-        return j * (n + 1) + i
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()
-    v00 = vid(ii, jj)
-    v10 = vid(ii + 1, jj)
-    v11 = vid(ii + 1, jj + 1)
-    v01 = vid(ii, jj + 1)
-
-    if kind is MeshKind.QUADRILATERAL:
-        cells = np.column_stack([v00, v10, v11, v01])
-    else:
-        lower = np.column_stack([v00, v10, v11])
-        upper = np.column_stack([v00, v11, v01])
-        cells = np.empty((2 * n * n, 3), dtype=int)
-        cells[0::2] = lower
-        cells[1::2] = upper
+    grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)   # [row j, col i]
+    corners = [grid[dy:dy + n, dx:dx + n]
+               for cls in CORNERS[kind] for dx, dy in cls]
+    cells = np.stack(corners, axis=-1).reshape(-1, len(CORNERS[kind][0]))
 
     x, y = vertices[:, 0], vertices[:, 1]
     boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)

@@ -129,7 +129,7 @@ class TimeStepSystem:
     applies; ``rhs_mat`` = [M/dt  B  P], P = [p_mass  p_a  p_b] a CSR block
     of the load vectors' nonzeros, takes a step's M v/dt + B w + P f in one
     product with (v, w, f).  Every block is CSR, so both are formed from
-    CSR arrays without a COO detour."""
+    CSR arrays."""
 
     def __init__(self, pre: LoadPrecomputation, dt: float):
         mass_dt = pre.mass / dt

@@ -172,6 +172,21 @@ class TestSubcommands:
         assert data.shape[1] == 2
         assert np.all(data > 0)
 
+    def test_soe_table_names_carry_every_digit_of_eps(self, tmp_path):
+        out = tmp_path / "out"
+        for eps in ("1.5e-3", "2e-3", "1e-6"):
+            assert main(["soe-table", "--alpha", "0.5", "--eps", eps,
+                         "--t-min", "1e-2", "--t-max", "2.0",
+                         "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("soe_alpha*.txt"))
+        assert names == ["soe_alpha0.5_eps1.5e-03.txt",
+                         "soe_alpha0.5_eps1e-06.txt",
+                         "soe_alpha0.5_eps2e-03.txt"]
+        # the two close tolerances keep their own tables
+        loose = np.loadtxt(out / "soe_alpha0.5_eps2e-03.txt")
+        tight = np.loadtxt(out / "soe_alpha0.5_eps1.5e-03.txt")
+        assert len(tight) > len(loose)
+
     def test_single_run_exit_zero(self, tmp_path, capsys):
         code = main(["single-run", "--n", "4", "--n-steps", "2",
                      "--out", str(tmp_path / "out")])

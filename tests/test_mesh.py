@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracvisco.errors import InvalidSize
-from fracvisco.mesh import build_mesh
+from fracvisco.mesh import CORNERS, build_mesh
 
 
 def cell_areas(mesh):
@@ -69,6 +69,20 @@ class TestBuildMesh:
         fine_set = {tuple(np.round(v, 12)) for v in fine.vertices}
         for v in coarse.vertices:
             assert tuple(np.round(v, 12)) in fine_set
+
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_corner_table_is_the_cells_geometry(self, kind, n):
+        # row k s + m of cells is square s's class-m cell, whose corners
+        # sit at the class's offsets from its first corner
+        mesh = build_mesh(kind, n)
+        table = CORNERS[mesh.kind]
+        for m, corners in enumerate(table):
+            cells = mesh.cells[m::len(table)]
+            assert len(cells) == n * n
+            offsets = mesh.vertices[cells] - mesh.vertices[cells[:, :1]]
+            expected = mesh.spacing * np.array(corners, dtype=float)
+            assert np.allclose(offsets, expected, rtol=0.0, atol=1e-15)
 
 
 class TestAreas:
