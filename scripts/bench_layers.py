@@ -9,10 +9,10 @@
 The first two forms time each row of CASES, a layer of an ex61 run (eps None
 is the run's dt / 10), against the tree ``--src`` with one BLAS thread, and
 store the record, with the tree's commit and the machine, in
-``records[label]``.  Each time ``X_s`` is the median of REPEATS samples
-(``X_samples_s``), ``X_ref_s`` the same in perfbench's reference seconds,
-X_s * REF_S / reference_s, where ``reference_s`` is the mean time of the
-reference work run before and after the row.  Rows carry the COUNTERS that
+``records[label]``.  Each time ``X_s`` is the median of its layer's REPEATS
+samples (``X_samples_s``), ``X_ref_s`` the same in perfbench's reference
+seconds, X_s * REF_S / reference_s, where ``reference_s`` is the mean time
+of the reference work run before and after the row.  Rows carry the COUNTERS that
 explain their time, null where the layer has none.
 
 The third form runs ``perfbench/run.py`` in two checkouts, alternating which
@@ -35,7 +35,11 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS, SAMPLE_S, FINAL_TIME = 3, 0.05, 1.0  # SAMPLE_S: least sample time
+SAMPLE_S, FINAL_TIME = 0.05, 1.0  # SAMPLE_S: least sample time
+# samples per row: 3 leave the sub-millisecond kernel tables of certify
+# and tables about 45 % apart between two records of one tree
+REPEATS = {"certify": 15, "tables": 15, "system": 7, "per_mesh": 3,
+           "fast_loop": 3, "direct_loop": 3}
 COUNTERS = ("n_dofs", "n_exp", "half_bandwidth", "factor_entries")
 Case = namedtuple("Case", "layer mesh n alpha n_steps eps", defaults=(None,))
 
@@ -124,16 +128,16 @@ def layer(case: Case):
     dofs = fem.build_dof_map(msh)
     prob = problems.get_problem("ex61", mat, final_time=FINAL_TIME)
     pre = problems.precompute_loads(msh, dofs, prob)
-    lhs = stepper.TimeStepSystem(pre, dt).lhs
-    upper = sp.triu(lhs, format="coo")
+    system = stepper.TimeStepSystem(pre, dt)
+    upper = sp.triu(system.lhs, format="coo")
     bw = int((upper.col - upper.row).max())
     counts = {"n_dofs": dofs.n_dofs, "half_bandwidth": bw,
               "factor_entries": (bw + 1) * dofs.n_dofs}
     if case.layer == "system":
-        solve, rng = fem.spd_solver(lhs), np.random.default_rng(0)
+        solve, rng = system.solve, np.random.default_rng(0)
         rhs = rng.standard_normal(dofs.n_dofs)
         rhs3 = rng.standard_normal((dofs.n_dofs, 3))
-        return calls({"factor_s": lambda: fem.spd_solver(lhs),
+        return calls({"factor_s": run_factor(pre, dt, system.lhs),
                       "system_s": lambda: stepper.TimeStepSystem(pre, dt),
                       "solve_s": lambda: solve(rhs),
                       "solve_3rhs_s": lambda: solve(rhs3)}), {
@@ -157,6 +161,17 @@ def layer(case: Case):
     return sample, counts
 
 
+def run_factor(pre, dt: float, lhs):
+    """What a run does to factor M/dt + A: fill the band from the bundle's
+    slots and factor it, or, in a tree whose bundle has no band slots,
+    spd_solver of the assembled matrix."""
+    if not hasattr(pre, "band"):
+        return lambda: fem.spd_solver(lhs)
+    bw, ((slots, values), a_band) = pre.band
+    return lambda: fem.band_solver(lhs.shape[0], bw,
+                                   [(slots, values * (1 / dt)), a_band])
+
+
 def layer_record(src: Path, cases: tuple = CASES) -> dict:
     """Time each case's layer against the tree src."""
     global np, sp, fem, mesh, problems, soe, stepper
@@ -170,7 +185,7 @@ def layer_record(src: Path, cases: tuple = CASES) -> dict:
     rows, ref_times = [], [ref.run()]
     for case in cases:
         sample, info = layer(case)
-        samples = [sample() for _ in range(REPEATS)]
+        samples = [sample() for _ in range(REPEATS[case.layer])]
         ref_times.append(ref.run())
         row = {**case._asdict(), **dict.fromkeys(COUNTERS), **info,
                "reference_s": (ref_times[-2] + ref_times[-1]) / 2}

@@ -25,16 +25,20 @@ weights and eps_certified, its compressed sum's nodes, weights and
 lag_deviation, and the lag weights theta_1..theta_N of both, by repr,
 and the per-mesh bundle of ``problems.precompute_loads`` on quad and tri
 meshes at n = 6 under the default material and a non-default one: M, A and
-B (dense, row-major) and p_mass, p_a, p_b and v0, by repr, and the
+B (dense, row-major) and p_mass, p_a, p_b and v0, by repr, the step
+system ``stepper.TimeStepSystem`` of those bundles (default material) at
+dt = 0.1 and 1/3: its ``rhs_mat``'s indptr, indices and data and its solve
+of a fixed vector, by repr, and the
 meshes of ``mesh.build_mesh`` (quad and tri, n = 2, 3 and 6): vertices,
 cells and boundary_vertex, by repr.
-These five kinds of case print one ``label<TAB>repr`` line per table,
+These six kinds of case print one ``label<TAB>repr`` line per table,
 the label ending in the table's name.
 Prints one IDENTICAL or DIFFERENT line per case; a DIFFERENT case of those
 kinds also gets the largest change of each table name (``error`` for the
 pinned errors, ``I``, ``w`` and ``beta`` for the engine tables,
 ``built.nodes`` ... ``compressed.theta`` for the sums, ``M`` ... ``v0`` for
-the bundle, ``vertices`` ... ``boundary_vertex`` for the meshes),
+the bundle, ``indptr``, ``indices``, ``data`` and ``solve`` for the step
+system, ``vertices`` ... ``boundary_vertex`` for the meshes),
 max |after - before| / max |before| over each table, so that
 roundoff in an entry near cancellation, or an entry that moves off 0, reads
 as roundoff of the table (a table that was all zeros is scaled by
@@ -175,6 +179,24 @@ for kind, name in (("quad", "ex61"), ("tri", "ex62")):
                   repr(value.ravel().tolist()), sep="\t")
 """
 
+# The backward-Euler system of the bundle at two steps: rhs_mat and a solve.
+STEP_SYSTEM = """\
+import numpy as np
+from fracvisco import fem, mesh, problems, stepper
+for kind, name in (("quad", "ex61"), ("tri", "ex62")):
+    msh = mesh.build_mesh(kind, 6)
+    dofs = fem.build_dof_map(msh)
+    pre = problems.precompute_loads(msh, dofs, problems.get_problem(name))
+    for dt in (0.1, 1 / 3):
+        system = stepper.TimeStepSystem(pre, dt)
+        tables = {f: getattr(system.rhs_mat, f) for f in
+                  ("indptr", "indices", "data")}
+        tables["solve"] = system.solve(np.cos(np.arange(dofs.n_dofs)))
+        for table, value in tables.items():
+            print(f"{kind} {name} dt={dt!r} {table}", repr(value.tolist()),
+                  sep="\t")
+"""
+
 # The meshes themselves: every vertex, cell and boundary flag.
 MESHES = """\
 from fracvisco import mesh
@@ -224,10 +246,12 @@ CASES = {
     "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),
     "SOE sums": (SOE_SUMS, [str(ROOT / "perfbench")]),
     "bundle operators": (BUNDLE_OPERATORS, []),
+    "step system": (STEP_SYSTEM, []),
     "mesh": (MESHES, []),
 }
 #: the case sources that print label<TAB>repr tables
-TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS, BUNDLE_OPERATORS, MESHES)
+TABULAR = (PINNED_RUNS, ENGINE_TABLES, SOE_SUMS, BUNDLE_OPERATORS,
+           STEP_SYSTEM, MESHES)
 
 
 def _without_timings(name: str, data: bytes) -> bytes:

@@ -19,8 +19,8 @@ Loads scatter cell by cell, eliminated dofs into a dropped extra slot.
 M and the a-form matrix are SPD, the b-form matrix is symmetric but may be
 indefinite or zero.  Interior vertices are numbered row-major, so every
 matrix has half-bandwidth 2n + 1 in dof order, and SPD systems are solved by
-a LAPACK band Cholesky factor (:func:`spd_solver`) whose band is filled
-straight from the CSR arrays.
+a LAPACK band Cholesky factor (:func:`band_solver`) filled at the slots
+:func:`band_slots` reads from the CSR arrays, so M/dt + A is never formed.
 """
 
 from __future__ import annotations
@@ -249,8 +249,9 @@ def _load(mesh: Mesh, dofs: DofMap, table: str, tensor: np.ndarray,
     p = np.zeros(dofs.n_dofs + 1)
     for cls, ed, xq in _classes(mesh, dofs):
         f = np.asarray(field(xq[..., 0], xq[..., 1])) @ tensor   # (nc, nq, r)
-        contrib = np.einsum("q,cqr,qrj->cj", cls.weights, f,
-                            getattr(cls, table), optimize=True)
+        # optimize=True's pick on every mesh but n = 2, without its search
+        contrib = np.einsum("q,cqr,qrj->cj", cls.weights, f, getattr(
+            cls, table), optimize=["einsum_path", (0, 2), (0, 1)])
         p += np.bincount(ed.ravel(), contrib.ravel(), minlength=p.size)
     return p[:-1]
 
@@ -303,46 +304,52 @@ def l2_error(mesh: Mesh, dofs: DofMap, coeffs: np.ndarray, exact) -> float:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def spd_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the SPD matrix once (LAPACK band Cholesky, dpbtrf) and return
-    its solve (dpbtrs).
+def band_slots(*mats: sp.spmatrix) -> tuple[int, list]:
+    """bw, the largest half-bandwidth of the symmetric n x n mats, and per
+    matrix the flat slots of its upper entries in a C-ordered (n, bw + 1)
+    band, whose transpose is LAPACK's upper band, with their values.
 
-    The band is the matrix's own half-bandwidth: 2n + 1 on the uniform
-    (n+1)^2 meshes with row-major vertices and two components per vertex.
-    It is filled straight from the CSR arrays of the matrix, canonicalised
-    (duplicates summed, indices sorted) on a copy when it is not already,
-    so the caller's matrix is never modified.  Only the upper triangle is
-    read, so a matrix that is not symmetric to 1e-12 of its largest entry
-    raises ValueError; a band that does not fit in the available physical
-    memory raises BudgetExceeded before it is allocated; a factor that is
-    not positive definite raises SolveFailure naming the size and the
-    leading minor."""
-    mat = sp.csr_matrix(mat)            # shares the caller's arrays
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    n = mat.shape[0]
-    scale = np.abs(mat.data).max(initial=0.0)
-    # a symmetric pattern lines the transpose's entries up with mat's
-    tr = mat.T.tocsr()
-    if (np.array_equal(tr.indptr, mat.indptr)
-            and np.array_equal(tr.indices, mat.indices)):
-        asym = np.abs(mat.data - tr.data).max(initial=0.0)
-    else:
-        asym = abs(mat - mat.T).max()
-    if asym > 1e-12 * scale:
-        raise ValueError(f"spd_solver needs a symmetric matrix: the {n}-dof "
-                         f"matrix has |mat - mat^T| = {asym:.3e} against "
-                         f"max|mat| = {scale:.3e}")
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    upper = mat.indices >= rows
-    rows, cols = rows[upper], mat.indices[upper]
-    bw = int((cols - rows).max(initial=0))
+    The CSR arrays are read as they are, or canonicalised on a copy.  A
+    matrix not symmetric to 1e-12 of its largest entry raises ValueError; a
+    band that does not fit in the physical memory, BudgetExceeded."""
+    upper_entries = []
+    for mat in mats:
+        mat = sp.csr_matrix(mat)            # shares the caller's arrays
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        n = mat.shape[0]
+        scale = np.abs(mat.data).max(initial=0.0)
+        # a symmetric pattern lines the transpose's entries up with mat's
+        tr = mat.T.tocsr()
+        if (np.array_equal(tr.indptr, mat.indptr)
+                and np.array_equal(tr.indices, mat.indices)):
+            asym = np.abs(mat.data - tr.data).max(initial=0.0)
+        else:
+            asym = abs(mat - mat.T).max()
+        if asym > 1e-12 * scale:
+            raise ValueError(f"spd_solver needs a symmetric matrix: the "
+                             f"{n}-dof matrix has |mat - mat^T| = {asym:.3e} "
+                             f"against max|mat| = {scale:.3e}")
+        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+        upper = mat.indices >= rows
+        upper_entries.append((rows[upper], mat.indices[upper].astype(np.intp),
+                              mat.data[upper]))
+    bw = max(int((c - r).max(initial=0)) for r, c, _ in upper_entries)
     require_memory(8 * (bw + 1) * n, f"the band factor of the {n}-dof system "
                    f"(half-bandwidth {bw})")
-    ab = np.zeros((bw + 1, n), order="F")
-    ab[bw + rows - cols, cols] = mat.data[upper]
-    factor, info = dpbtrf(ab, overwrite_ab=1)
+    # entry (r, c), r <= c, is LAPACK's ab[bw + r - c, c], i.e. [c, bw + r - c]
+    return bw, [((c + 1) * bw + r, v) for r, c, v in upper_entries]
+
+
+def band_solver(n: int, bw: int, parts) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the SPD matrix whose band is the sum of the (slots, values)
+    parts of :func:`band_slots` once (dpbtrf) and return its solve (dpbtrs);
+    a factor not positive definite raises SolveFailure naming the minor."""
+    band = np.zeros(n * (bw + 1))
+    for slots, values in parts:
+        band[slots] += values
+    factor, info = dpbtrf(band.reshape(n, bw + 1).T, overwrite_ab=1)
     if info > 0:
         raise SolveFailure(f"factorisation of the {n}-dof system failed: the "
                            f"leading minor of order {info} is not positive "
@@ -352,6 +359,12 @@ def spd_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
         return dpbtrs(factor, rhs)[0]
 
     return solve
+
+
+def spd_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The band Cholesky solve of the SPD matrix mat, by :func:`band_slots`
+    at its own half-bandwidth and then :func:`band_solver`."""
+    return band_solver(mat.shape[0], *band_slots(mat))
 
 
 def ritz_project(mesh: Mesh, dofs: DofMap, a_matrix: sp.csr_matrix,

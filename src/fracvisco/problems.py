@@ -10,7 +10,8 @@ fresh quadrature; :func:`load_factors` tabulates the factors of a run.
 
 :func:`precompute_loads` gathers everything a run needs that depends on the
 mesh and the problem but not on the time step: those three vectors, the
-matrices A, M and B, and the Ritz initial datum.
+matrices A, M and B, the Ritz initial datum, and the step system's dt-free
+parts, so that a run only scales M by 1/dt, fills its band and factors.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DofMap, Material, _matrices, elastic_load, l2_error,
-                  mass_load, spd_solver)
+from .fem import (DofMap, Material, _matrices, band_slots, band_solver,
+                  elastic_load, l2_error, mass_load)
 from .mesh import Mesh
 from .soe import exp_convolution
 
@@ -115,8 +116,9 @@ def get_problem(name: str, material: Material | None = None,
 @dataclass(frozen=True)
 class LoadPrecomputation:
     """The per-mesh operators of a run: the three fixed vectors of the
-    separable weak-form load, the matrices A, M and B, the Ritz datum, and
-    the problem name, mesh (kind, n) and material they were built for."""
+    separable weak-form load, the matrices A, M and B, the Ritz datum, the
+    step system's dt-free parts, and the problem name, mesh (kind, n) and
+    material they were built for."""
 
     p_mass: np.ndarray   # <V, phi_i>
     p_a: np.ndarray      # a(V, phi_i)
@@ -128,6 +130,9 @@ class LoadPrecomputation:
     material: Material
     problem: str
     mesh: tuple[str, int]
+    rhs_unit: sp.csr_matrix  # [M  B  P], P = [p_mass  p_a  p_b]
+    mass_pos: np.ndarray     # where rhs_unit.data holds M's entries
+    band: tuple[int, list]   # fem.band_slots(M, A)
 
 
 def precompute_loads(mesh: Mesh, dofs: DofMap,
@@ -135,18 +140,24 @@ def precompute_loads(mesh: Mesh, dofs: DofMap,
     """Assemble what a run on this mesh needs independently of dt.
 
     Each elastic form is integrated once, on its own tensor, M, A and B are
-    built on one neighbour table, and the Ritz right-hand side is p_a itself.
+    built on one neighbour table, and the Ritz datum solves A's band for p_a.
     """
     mat, grad = problem.material, problem.spatial_gradient
     mass, a_mat, b_mat = _matrices(mesh, dofs, [
         ("values", np.eye(2)), ("strains", mat.a_tensor),
         ("strains", mat.b_tensor)])
+    p_mass = mass_load(mesh, dofs, problem.spatial_value)
     p_a = elastic_load(mesh, dofs, grad, mat.a_tensor)
+    p_b = elastic_load(mesh, dofs, grad, mat.b_tensor)
+    # all-CSR blocks keep hstack on scipy's CSR path
+    unit = sp.hstack([mass, b_mat, sp.csr_matrix(np.column_stack(
+        (p_mass, p_a, p_b)))], format="csr")
+    bw, (_, a_band) = band = band_slots(mass, a_mat)
     return LoadPrecomputation(
-        p_mass=mass_load(mesh, dofs, problem.spatial_value), p_a=p_a,
-        p_b=elastic_load(mesh, dofs, grad, mat.b_tensor), a_mat=a_mat,
-        mass=mass, b_mat=b_mat, v0=spd_solver(a_mat)(p_a), material=mat,
-        problem=problem.name, mesh=(mesh.kind.value, mesh.n))
+        p_mass=p_mass, p_a=p_a, p_b=p_b, a_mat=a_mat, mass=mass, b_mat=b_mat,
+        v0=band_solver(dofs.n_dofs, bw, [a_band])(p_a), material=mat,
+        problem=problem.name, mesh=(mesh.kind.value, mesh.n), rhs_unit=unit,
+        mass_pos=np.flatnonzero(unit.indices < dofs.n_dofs), band=band)
 
 
 def conv_factor_grid(alpha: float, tau_sigma: float,

@@ -3,7 +3,7 @@
 Each step solves (M/dt + A) v^n = [M/dt  B  P] (v^{n-1}, w, f_n), w the lag
 sum of v^0..v^{n-1}, P = [p_mass  p_a  p_b] the load vectors and f_n the
 step's load factors, with one sparse product for the right-hand side and the
-band Cholesky factor of :func:`fracvisco.fem.spd_solver`, built once per run.
+band Cholesky factor of :func:`fracvisco.fem.band_solver`, built once per run.
 The paper's two history treatments are provided:
 
 - fast: sum-of-exponentials memory variables, one recursion per exponential
@@ -20,14 +20,14 @@ The kernel tables I(t_n) and w_l come from the vectorised kernel engine of
 g(t_n), -I(t_n)) once.  A run whose N-sized arrays exceed the available
 physical memory raises BudgetExceeded up front.
 
-The matrices A, M and B, the load vectors and the Ritz initial datum do not
-depend on dt: they come from the per-mesh bundle of
+The matrices, [M  B  P], M's and A's band slots, the load vectors and the
+Ritz datum do not depend on dt: they come from the per-mesh bundle of
 :func:`fracvisco.problems.precompute_loads`, which callers sweeping N on one
 mesh build once and pass as ``pre``; a bundle built for another problem, mesh,
 material or dof count raises ValueError.  A run builds only what depends on
-dt: the factor of M/dt + A (once per run), the I(t) and load-factor
-tables, the SOE and its compression, and the history storage.  A step
-whose velocity is not finite raises SolveFailure naming the step.
+dt: [M/dt  B  P] and the factor of M/dt + A (once per run), the I(t) and
+load-factor tables, the SOE and its compression, and the history storage.  A
+step whose velocity is not finite raises SolveFailure naming the step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg import toeplitz
 
 from .errors import SolveFailure, require_memory
-from .fem import DofMap, Material, build_dof_map, spd_solver
+from .fem import DofMap, Material, band_solver, build_dof_map
 # unused here; perfbench's tracer patches these names in this module
 from .fem import (a_form_matrix, assemble_mass, b_form_matrix,  # noqa: F401
                   ritz_project)
@@ -124,20 +124,26 @@ class DirectHistory:
 
 
 class TimeStepSystem:
-    """Constant backward-Euler matrix M/dt + A (``lhs``, CSR) of the bundle
-    pre, factored once per run by a LAPACK band Cholesky, which ``solve``
-    applies; ``rhs_mat`` = [M/dt  B  P], P = [p_mass  p_a  p_b] a CSR block
-    of the load vectors' nonzeros, takes a step's M v/dt + B w + P f in one
-    product with (v, w, f).  Every block is CSR, so both are formed from
-    CSR arrays."""
+    """``solve`` applies the band Cholesky factor of M/dt + A, its band
+    filled from the bundle pre's slots of M and A, and ``rhs_mat`` =
+    [M/dt  B  P] on the bundle's indices takes a step's M v/dt + B w + P f
+    in one product with (v, w, f).  M is scaled by * (1 / dt), as scipy's
+    M / dt is, so both are bit for bit those of the assembled matrices."""
 
     def __init__(self, pre: LoadPrecomputation, dt: float):
-        mass_dt = pre.mass / dt
-        self.lhs = (mass_dt + pre.a_mat).tocsr()
-        loads = sp.csr_matrix(np.column_stack((pre.p_mass, pre.p_a, pre.p_b)))
-        # all-CSR blocks keep hstack on scipy's CSR path
-        self.rhs_mat = sp.hstack([mass_dt, pre.b_mat, loads], format="csr")
-        self.solve = spd_solver(self.lhs)
+        self.pre, self.dt, unit = pre, dt, pre.rhs_unit
+        data = unit.data.copy()
+        data[pre.mass_pos] *= 1 / dt
+        self.rhs_mat = sp.csr_matrix((data, unit.indices, unit.indptr),
+                                     shape=unit.shape)
+        bw, ((slots, values), a_band) = pre.band
+        self.solve = band_solver(unit.shape[0], bw,
+                                 [(slots, values * (1 / dt)), a_band])
+
+    @property
+    def lhs(self) -> sp.csr_matrix:
+        """M/dt + A (CSR), formed on access; the run reads only its band."""
+        return (self.pre.mass / self.dt + self.pre.a_mat).tocsr()
 
 
 def _check_memory(scheme: Scheme, n_steps: int, n_dofs: int) -> None:

@@ -9,7 +9,7 @@ import pytest
 from fracvisco import fem, problems, stepper
 from fracvisco.errors import BudgetExceeded, SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, build_dof_map,
-                           ritz_project)
+                           ritz_project, spd_solver)
 from fracvisco.mesh import build_mesh
 from fracvisco.mlf import kernel_antiderivative
 from fracvisco.problems import (conv_factor_grid, exact_error, get_problem,
@@ -239,6 +239,43 @@ class TestTimeStepSystem:
         assert sparse_oracle.same_csr(system.rhs_mat,
                                       sparse_oracle.rhs_mat(pre, 0.01))
 
+    @pytest.mark.parametrize("dt", [0.1, 1 / 3, 0.003])
+    @pytest.mark.parametrize("kind", ["quad", "tri"])
+    def test_bundle_parts_give_the_assembled_system(self, monkeypatch,
+                                                    kind, dt):
+        # the band filled from the bundle's slots is the sp.triu oracle's
+        # band of the assembled M/dt + A and solves to the bit as
+        # spd_solver's, and rhs_mat scaled from the bundle's [M  B  P] is
+        # the oracle's hstack
+        mesh = build_mesh(kind, 8)
+        pre = precompute_loads(mesh, build_dof_map(mesh), get_problem("ex62"))
+        bands, dpbtrf = [], fem.dpbtrf
+
+        def spy(ab, overwrite_ab=0):
+            bands.append(ab.copy(order="F"))
+            return dpbtrf(ab, overwrite_ab=overwrite_ab)
+
+        monkeypatch.setattr(fem, "dpbtrf", spy)
+        system = TimeStepSystem(pre, dt)
+        assert np.array_equal(bands[0],
+                              sparse_oracle.band(pre.mass / dt + pre.a_mat))
+        rhs = np.random.default_rng(7).standard_normal(pre.mass.shape[0])
+        assert np.array_equal(system.solve(rhs),
+                              spd_solver(pre.mass / dt + pre.a_mat)(rhs))
+        assert sparse_oracle.same_csr(system.rhs_mat,
+                                      sparse_oracle.rhs_mat(pre, dt))
+
+    def test_runs_share_the_bundle_unchanged(self):
+        # a run scales a copy of the bundle's [M  B  P] data, so a second
+        # system at another dt sees the bundle as the first did
+        mesh = build_mesh("tri", 6)
+        pre = precompute_loads(mesh, build_dof_map(mesh), get_problem("ex61"))
+        before = pre.rhs_unit.data.copy()
+        TimeStepSystem(pre, 0.01)
+        assert np.array_equal(pre.rhs_unit.data, before)
+        assert sparse_oracle.same_csr(TimeStepSystem(pre, 0.2).rhs_mat,
+                                      sparse_oracle.rhs_mat(pre, 0.2))
+
     def test_lhs_is_csr_storing_only_nonzeros(self):
         # perfbench reads lhs.nnz as the factored matrix's nonzeros
         mesh = build_mesh("quad", 8)
@@ -435,7 +472,8 @@ class TestRun:
 
     def test_given_bundle_assembles_nothing(self, monkeypatch):
         # a run given the per-mesh bundle builds only what depends on dt:
-        # no assembly, no load integral, one factorisation (M/dt + A)
+        # no assembly, no load integral, no CSR-to-band pass, one band
+        # factorisation (M/dt + A)
         mesh = build_mesh("quad", 5)
         dofs = build_dof_map(mesh)
         prob = get_problem("ex61")
@@ -447,20 +485,20 @@ class TestRun:
         for module in (fem, problems, stepper):
             for name in ("a_form_matrix", "assemble_mass", "b_form_matrix",
                          "elastic_load", "mass_load", "ritz_project",
-                         "precompute_loads"):
+                         "precompute_loads", "band_slots"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         factored = []
 
-        def counting_solver(mat):
-            factored.append(mat.shape)
-            return fem.spd_solver(mat)
+        def counting_solver(n, bw, parts):
+            factored.append((n, bw))
+            return fem.band_solver(n, bw, parts)
 
-        monkeypatch.setattr(stepper, "spd_solver", counting_solver)
+        monkeypatch.setattr(stepper, "band_solver", counting_solver)
         for scheme in Scheme:
             factored.clear()
             run(prob, mesh, scheme, 6, dofs=dofs, pre=pre)
-            assert factored == [(dofs.n_dofs, dofs.n_dofs)]
+            assert factored == [(dofs.n_dofs, 2 * 5 + 1)]
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_compressed_run_matches_built_soe(self, alpha):
