@@ -10,10 +10,13 @@ The first two forms time each row of CASES, a layer of an ex61 run (eps None
 is the run's dt / 10), against the tree ``--src`` with one BLAS thread, and
 store the record, with the tree's commit and the machine, in
 ``records[label]``.  Each time ``X_s`` is the median of its layer's REPEATS
-samples (``X_samples_s``), ``X_ref_s`` the same in perfbench's reference
-seconds, X_s * REF_S / reference_s, where ``reference_s`` is the mean time
-of the reference work run before and after the row.  Rows carry the COUNTERS that
-explain their time, null where the layer has none.
+samples (``X_samples_s``), and ``X_ref_s`` the median of the samples in
+perfbench's reference seconds: the reference work runs before the row and
+after each sample (``reference_samples_s``, median ``reference_s``), and a
+sample is scaled by REF_S over the mean of the two runs next to it, so a
+slow stretch of the host that spans some samples slows their reference
+runs too.  Rows carry the COUNTERS that explain their time, null where the
+layer has none.
 
 The third form runs ``perfbench/run.py`` in two checkouts, alternating which
 goes first, and stores each pair's end-to-end metrics, their quartiles and
@@ -36,9 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_S, FINAL_TIME = 0.05, 1.0  # SAMPLE_S: least sample time
-# samples per row: 3 leave the sub-millisecond kernel tables of certify
-# and tables about 45 % apart between two records of one tree
-REPEATS = {"certify": 15, "tables": 15, "system": 7, "per_mesh": 3,
+# samples per row: 3 left the sub-millisecond kernel tables of certify and
+# tables about 45 % apart between two records of one tree
+REPEATS = {"certify": 15, "tables": 15, "system": 7, "per_mesh": 7,
            "fast_loop": 3, "direct_loop": 3}
 COUNTERS = ("n_dofs", "n_exp", "half_bandwidth", "factor_entries")
 Case = namedtuple("Case", "layer mesh n alpha n_steps eps", defaults=(None,))
@@ -129,7 +132,8 @@ def layer(case: Case):
     prob = problems.get_problem("ex61", mat, final_time=FINAL_TIME)
     pre = problems.precompute_loads(msh, dofs, prob)
     system = stepper.TimeStepSystem(pre, dt)
-    upper = sp.triu(system.lhs, format="coo")
+    lhs = system.lhs
+    upper = sp.triu(lhs, format="coo")
     bw = int((upper.col - upper.row).max())
     counts = {"n_dofs": dofs.n_dofs, "half_bandwidth": bw,
               "factor_entries": (bw + 1) * dofs.n_dofs}
@@ -137,7 +141,7 @@ def layer(case: Case):
         solve, rng = system.solve, np.random.default_rng(0)
         rhs = rng.standard_normal(dofs.n_dofs)
         rhs3 = rng.standard_normal((dofs.n_dofs, 3))
-        return calls({"factor_s": run_factor(pre, dt, system.lhs),
+        return calls({"factor_s": run_factor(pre, dt, lhs),
                       "system_s": lambda: stepper.TimeStepSystem(pre, dt),
                       "solve_s": lambda: solve(rhs),
                       "solve_3rhs_s": lambda: solve(rhs3)}), {
@@ -182,16 +186,21 @@ def layer_record(src: Path, cases: tuple = CASES) -> dict:
     from fracvisco import fem, mesh, problems, soe, stepper
     from reference import REF_S, Reference
     ref = Reference()
-    rows, ref_times = [], [ref.run()]
+    rows, refs = [], [ref.run()]
     for case in cases:
         sample, info = layer(case)
-        samples = [sample() for _ in range(REPEATS[case.layer])]
-        ref_times.append(ref.run())
+        samples, refs = [], refs[-1:]
+        for _ in range(REPEATS[case.layer]):
+            samples.append(sample())
+            refs.append(ref.run())
         row = {**case._asdict(), **dict.fromkeys(COUNTERS), **info,
-               "reference_s": (ref_times[-2] + ref_times[-1]) / 2}
+               "reference_s": statistics.median(refs),
+               "reference_samples_s": refs}
         for key in samples[0]:
             row[key] = statistics.median(s[key] for s in samples)
-            row[key[:-2] + "_ref_s"] = row[key] * REF_S / row["reference_s"]
+            row[key[:-2] + "_ref_s"] = statistics.median(
+                s[key] * REF_S * 2 / (r0 + r1)
+                for s, r0, r1 in zip(samples, refs, refs[1:]))
             row[key[:-2] + "_samples_s"] = [s[key] for s in samples]
         rows.append(row)
         print(" ".join(map(str, case)) + ": " + ", ".join(

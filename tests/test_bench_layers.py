@@ -32,8 +32,13 @@ def test_every_layer_gives_its_times_and_counters(monkeypatch):
             samples = row[name + "_samples_s"]
             assert len(samples) == bench_layers.REPEATS[row["layer"]]
             assert row[name + "_s"] == statistics.median(samples) > 0
-            assert row[name + "_ref_s"] == (row[name + "_s"] * REF_S
-                                            / row["reference_s"])
+            refs = row["reference_samples_s"]
+            assert len(refs) == len(samples) + 1
+            assert row["reference_s"] == statistics.median(refs)
+            # each sample scaled by the reference runs next to it
+            assert row[name + "_ref_s"] == statistics.median(
+                x * REF_S * 2 / (r0 + r1)
+                for x, r0, r1 in zip(samples, refs, refs[1:]))
         assert set(bench_layers.COUNTERS) <= row.keys()
         on_mesh = row["mesh"] is not None
         # quad n = 4: 3 x 3 interior vertices, two components each
