@@ -131,27 +131,25 @@ def layer(case: Case):
     dofs = fem.build_dof_map(msh)
     prob = problems.get_problem("ex61", mat, final_time=FINAL_TIME)
     pre = problems.precompute_loads(msh, dofs, prob)
-    system = stepper.TimeStepSystem(pre, dt)
-    lhs = system.lhs
-    upper = sp.triu(lhs, format="coo")
-    bw = int((upper.col - upper.row).max())
-    counts = {"n_dofs": dofs.n_dofs, "half_bandwidth": bw,
-              "factor_entries": (bw + 1) * dofs.n_dofs}
-    if case.layer == "system":
-        solve, rng = system.solve, np.random.default_rng(0)
-        rhs = rng.standard_normal(dofs.n_dofs)
-        rhs3 = rng.standard_normal((dofs.n_dofs, 3))
-        return calls({"factor_s": run_factor(pre, dt, lhs),
+    n, (bw, ((slots, values), a_band)) = dofs.n_dofs, pre.band
+    counts = {"n_dofs": n, "half_bandwidth": bw,
+              "factor_entries": (bw + 1) * n}
+    if case.layer == "system":  # the factor as TimeStepSystem scales it
+        solve = stepper.TimeStepSystem(pre, dt).solve
+        rng = np.random.default_rng(0)
+        rhs = rng.standard_normal(n)
+        rhs3 = rng.standard_normal((n, 3))
+        return calls({"factor_s": lambda: fem.band_solver(
+                          n, bw, [(slots, values * (1 / dt)), a_band]),
                       "system_s": lambda: stepper.TimeStepSystem(pre, dt),
                       "solve_s": lambda: solve(rhs),
-                      "solve_3rhs_s": lambda: solve(rhs3)}), {
-            "factor": "band", **counts}
-    if case.layer == "per_mesh":
+                      "solve_3rhs_s": lambda: solve(rhs3)}), counts
+    if case.layer == "per_mesh":  # the calls precompute_loads makes
+        forms = [("values", np.eye(2)), ("strains", mat.a_tensor),
+                 ("strains", mat.b_tensor)]
         return calls({
-            "assembly_s": lambda: (fem.a_form_matrix(msh, dofs, mat),
-                                   fem.assemble_mass(msh, dofs),
-                                   fem.b_form_matrix(msh, dofs, mat)),
-            "ritz_s": lambda: fem.spd_solver(pre.a_mat)(pre.p_a),
+            "assembly_s": lambda: fem._matrices(msh, dofs, forms),
+            "ritz_s": lambda: fem.band_solver(n, bw, [a_band])(pre.p_a),
             "loads_s": lambda: problems.precompute_loads(msh, dofs, prob),
             "error_s": lambda: problems.exact_error(msh, dofs, pre.v0, prob,
                                                     FINAL_TIME)}), counts
@@ -165,24 +163,12 @@ def layer(case: Case):
     return sample, counts
 
 
-def run_factor(pre, dt: float, lhs):
-    """What a run does to factor M/dt + A: fill the band from the bundle's
-    slots and factor it, or, in a tree whose bundle has no band slots,
-    spd_solver of the assembled matrix."""
-    if not hasattr(pre, "band"):
-        return lambda: fem.spd_solver(lhs)
-    bw, ((slots, values), a_band) = pre.band
-    return lambda: fem.band_solver(lhs.shape[0], bw,
-                                   [(slots, values * (1 / dt)), a_band])
-
-
 def layer_record(src: Path, cases: tuple = CASES) -> dict:
     """Time each case's layer against the tree src."""
-    global np, sp, fem, mesh, problems, soe, stepper
+    global np, fem, mesh, problems, soe, stepper
     sys.path.insert(0, str(src))
     sys.path.append(str(ROOT / "perfbench"))
     import numpy as np
-    import scipy.sparse as sp
     from fracvisco import fem, mesh, problems, soe, stepper
     from reference import REF_S, Reference
     ref = Reference()

@@ -28,7 +28,7 @@ from .errors import FracViscoError
 from .fem import Material, build_dof_map
 from .mesh import MeshKind, build_mesh
 from .problems import conv_factor_grid, exact_error, get_problem, precompute_loads
-from .soe import PANEL_RATIO, build_soe, write_table
+from .soe import PANEL_RATIO, build_soe, default_eps, write_table
 from .stepper import Scheme, run
 
 SPATIAL_LADDER = (4, 8, 16, 32, 64)
@@ -64,7 +64,7 @@ class RunConfig:
 
     def eps_for(self, dt: float) -> float:
         if self.eps_rule == "dt-over-10":
-            return dt / 10.0
+            return default_eps(dt)
         if self.eps_rule.startswith("fixed:"):
             return float(self.eps_rule.split(":", 1)[1])
         raise ValueError(f"unknown eps rule {self.eps_rule!r}")

@@ -69,7 +69,8 @@ ENGINE_TOL = 1e-9
 LOG_MAX = math.log(np.finfo(float).max)
 #: Entries of each (times x nodes) temporary: 512 KB.  Of 2^15..2^17,
 #: 2^17 ran the tables a few % faster but added 0.3 MB to a direct
-#: run's peak RSS; 2^16 adds none.
+#: run's peak RSS; 2^16 adds none.  A rule of more nodes than this, one
+#: for alpha below about 0.007, is refused.
 ENGINE_BLOCK = 1 << 16
 
 #: Compression: the compressed sum's lag weights must match the built sum's
@@ -305,6 +306,10 @@ def _graded_rules(alpha: float, js: tuple[int, ...]
     sin(alpha pi) approach the axis, so edges are also graded by doubling
     away from x0 = -cos(alpha pi) in steps of the pole distance.
     """
+    log_q = min(math.log(4.0), alpha * math.log(ENGINE_RATE_RATIO))
+    if max(js) * math.log(ENGINE_X_MAX / ENGINE_X_MIN) > ENGINE_BLOCK * log_q:
+        raise BudgetExceeded(f"the kernel engine's rule at alpha = {alpha:g} "
+                             f"has more than {ENGINE_BLOCK} nodes")
     q = min(4.0, ENGINE_RATE_RATIO ** alpha)
     lo, hi = (math.floor(math.log(x, q)) for x in (ENGINE_X_MIN, ENGINE_X_MAX))
     x0, d = -math.cos(alpha * math.pi), math.sin(alpha * math.pi)
@@ -425,6 +430,12 @@ def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
     dev = float(np.max(np.abs(eval_soe(soe, grid) - ref)))
     soe.eps_certified = dev
     return dev
+
+
+def default_eps(dt: float) -> float:
+    """The fast scheme's tolerance when none is given: dt/10, capped at 0.5
+    so that build_soe takes it at any step dt."""
+    return min(dt / 10.0, 0.5)
 
 
 def build_soe(alpha: float, eps: float, q: float, t_min: float,

@@ -50,7 +50,7 @@ from .mlf import kernel_antiderivative  # noqa: F401
 from .problems import (LoadPrecomputation, ManufacturedProblem,
                        conv_factor_grid, load_factors, precompute_loads)
 from .soe import (PANEL_RATIO, MemoryState, SoeApprox, build_soe,
-                  compress_soe, direct_weights)
+                  compress_soe, default_eps, direct_weights)
 
 HISTORY_BLOCK = 32  # steps per block GEMM of the direct history
 
@@ -164,10 +164,10 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
         conv_values: np.ndarray | None = None) -> RunResult:
     """Execute a full run and return the final-time coefficients.
 
-    eps, the fast scheme's SOE tolerance, defaults to dt/10; the sum built
-    to it is compressed to the run's lag weights.  pre is the per-mesh
-    bundle of precompute_loads for this mesh, dofs and problem, built here
-    when not given; a bundle built for another problem, mesh, material or
+    eps, the fast scheme's SOE tolerance, defaults to default_eps(dt); the
+    sum built to it is compressed to the run's lag weights.  pre is the
+    per-mesh bundle of precompute_loads for this mesh, dofs and problem,
+    built here when not given; a bundle built for another problem, mesh, material or
     dof count raises ValueError.  conv_values may carry the kernel
     convolution factors I(t_n) for n = 1..n_steps if already tabulated; a
     table of another length raises ValueError.
@@ -208,7 +208,7 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
 
     soe: SoeApprox | None = None
     if scheme is Scheme.FAST:
-        target = eps if eps is not None else dt / 10.0
+        target = eps if eps is not None else default_eps(dt)
         soe = compress_soe(build_soe(mat.alpha, target, q,
                                      t_min=dt / (10.0 * mat.tau_sigma),
                                      t_max=problem.final_time / mat.tau_sigma),

@@ -196,6 +196,14 @@ class TestSubcommands:
         assert "lag_dev=" in out
         assert "setup=" in out
 
+    def test_single_run_at_a_step_of_ten(self, tmp_path, capsys):
+        # dt = 10, where dt/10 alone reaches build_soe's eps < 1 bound
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nfinal_time = 10\n")
+        assert main(["single-run", "--config", str(cfg), "--n", "3",
+                     "--n-steps", "1", "--out", str(tmp_path)]) == 0
+        assert "fast n=3 N=1 alpha=0.5 error=" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_invalid_alpha_soe(self):

@@ -2,6 +2,7 @@
 traces, so that a change to ``src`` cannot leave every traced run failing."""
 
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from fracvisco import fem, mesh, mlf, problems, soe, stepper
 from fracvisco.cli import RunConfig
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
 
@@ -55,3 +57,10 @@ def test_run_result_exposes_what_the_harness_records():
     assert res.n_exp > 0 and res.peak_history_bytes > 0
     t = res.timings
     assert 0 < t.wall_history + t.wall_solve <= t.wall_total
+
+
+def test_harness_self_test_passes():
+    # a tiny traced pass of every workload through the harness's own gates
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

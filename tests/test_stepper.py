@@ -5,9 +5,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracvisco import fem, problems, stepper
-from fracvisco.errors import BudgetExceeded, SolveFailure
+from fracvisco.errors import BudgetExceeded, FracViscoError, SolveFailure
 from fracvisco.fem import (Material, a_form_matrix, build_dof_map,
                            ritz_project, spd_solver)
 from fracvisco.mesh import build_mesh
@@ -353,6 +355,13 @@ class TestRun:
         assert res.n_steps == 1024
         assert np.isfinite(res.coeffs).all()
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_default_eps_at_a_step_of_ten(self, alpha):
+        # dt = 10, where dt/10 alone reaches build_soe's eps < 1 bound
+        prob = get_problem("ex61", Material(alpha=alpha), final_time=100.0)
+        res = run(prob, build_mesh("quad", 3), Scheme.FAST, 10)
+        assert np.isfinite(res.coeffs).all()
+
     def test_scheme_given_as_its_value(self):
         mesh = build_mesh("quad", 4)
         prob = get_problem("ex61")
@@ -549,6 +558,45 @@ class TestRun:
             errs.append(exact_error(mesh, dofs, res.coeffs, prob, 1.0))
         # first-order in time: halving dt roughly halves the error
         assert 1.6 <= errs[0] / errs[1] <= 2.6
+
+
+SCALE = st.floats(1e-3, 100.0)
+RUN_INPUTS = st.fixed_dictionaries({
+    "problem": st.sampled_from(["ex61", "ex62"]),
+    "kind": st.sampled_from(["quad", "tri"]), "n": st.integers(2, 4),
+    "scheme": st.sampled_from(list(Scheme)),
+    "alpha": st.floats(0.0, 1.0, exclude_min=True), "tau_sigma": SCALE,
+    "tau_eps": SCALE, "rho": SCALE, "final_time": SCALE,
+    "n_steps": st.integers(0, 40),
+    "eps": st.sampled_from([None, 1e-12, 1e-3])})
+
+
+def _run_inputs(problem, kind, n, scheme, alpha, tau_sigma, tau_eps, rho,
+                final_time, n_steps, eps, **args):
+    mat = Material(alpha=alpha, tau_sigma=tau_sigma, tau_eps=tau_eps, rho=rho)
+    return run(get_problem(problem, mat, final_time=final_time),
+               build_mesh(kind, n), scheme, n_steps, eps=eps, **args)
+
+
+class TestRunInputs:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(RUN_INPUTS)
+    def test_finite_or_typed_error(self, inputs):
+        try:
+            res = _run_inputs(**inputs)
+        except FracViscoError:
+            return
+        assert np.isfinite(res.coeffs).all()
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(RUN_INPUTS, st.sampled_from(["n_steps", "conv_values"]))
+    def test_invalid_argument_is_named(self, inputs, invalid):
+        n_steps = inputs.pop("n_steps")
+        args = ({"n_steps": -1 - n_steps} if invalid == "n_steps" else
+                {"n_steps": n_steps, "conv_values": np.ones(n_steps + 1)})
+        with pytest.raises(ValueError, match=invalid):
+            _run_inputs(**inputs, **args)
 
 
 class TestTemporalDifferences:
