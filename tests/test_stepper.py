@@ -579,6 +579,10 @@ def _run_inputs(problem, kind, n, scheme, alpha, tau_sigma, tau_eps, rho,
 
 
 class TestRunInputs:
+    """run over its input space (200 examples, about 6 s): a valid input
+    gives finite coefficients or a FracViscoError, never a numpy warning;
+    an invalid argument, a ValueError that names it."""
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(RUN_INPUTS)
