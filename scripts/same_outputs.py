@@ -14,7 +14,8 @@ compared byte for byte, with these exceptions, which are timings:
 - bench_time.svg, which plots wall_history, is not compared.
 
 The cases are the CLI ladders, bench, single-run (fast, direct, alpha = 1
-and a [material] config), soe-table, the final
+and a [material] config), soe-table (the default range at alpha = 0.5,
+and alpha = 0.8, eps = 1e-4 on [1e-3, 5]), the final
 L2 errors (printed with repr, so bit for bit) of the full-size runs of each
 benchmark workload, taken from ``perfbench/spec.py``'s ``plan`` and run the
 way ``perfbench/workloads.py`` runs them, and the kernel engine's tables at
@@ -241,6 +242,9 @@ CASES = {
         "--n-steps", "32"]),
     "soe-table": (CLI, [
         "soe-table", "--alpha", "0.5", "--eps", "1e-6", "--out", "OUT"]),
+    "soe-table alpha 0.8": (CLI, [
+        "soe-table", "--alpha", "0.8", "--eps", "1e-4", "--t-min", "1e-3",
+        "--t-max", "5", "--out", "OUT"]),
     **{f"pinned {w}": (PINNED_RUNS, [str(ROOT / "perfbench"), w])
        for w in ("spatial-fast", "temporal-ladder", "direct-long")},
     "engine tables": (ENGINE_TABLES, [str(ROOT / "perfbench")]),

@@ -46,7 +46,6 @@ class RunConfig:
     n_steps: tuple[int, ...] = TEMPORAL_LADDER
     mesh_n: int = 64                  # fixed mesh for temporal/bench runs
     scheme: str = "fast"              # fast | direct | both
-    q: float = PANEL_RATIO
     eps_rule: str = "dt-over-10"      # or "fixed:<value>"
     final_time: float = 1.0
     rho: float = Material.rho
@@ -57,6 +56,8 @@ class RunConfig:
     mu_d: float = Material.mu_d
     lambda_d: float = Material.lambda_d
     out: Path = field(default_factory=lambda: Path("out"))
+    #: the SOE panel ratio, a constant: not a field, key or flag
+    q = PANEL_RATIO
 
     def material(self, alpha: float) -> Material:
         return Material(alpha=alpha, **{key: getattr(self, key)
@@ -65,9 +66,15 @@ class RunConfig:
     def eps_for(self, dt: float) -> float:
         if self.eps_rule == "dt-over-10":
             return default_eps(dt)
-        if self.eps_rule.startswith("fixed:"):
-            return float(self.eps_rule.split(":", 1)[1])
-        raise ValueError(f"unknown eps rule {self.eps_rule!r}")
+        kind, _, text = self.eps_rule.partition(":")
+        try:
+            eps = float(text)
+        except ValueError:
+            eps = math.nan
+        if kind != "fixed" or not 0.0 < eps < 1.0:
+            raise ValueError(f"eps_rule must be dt-over-10 or fixed:<eps>, "
+                             f"0 < eps < 1, got {self.eps_rule!r}")
+        return eps
 
 
 def _orders(levels: list[int], errors: list[float]) -> list[float | None]:
@@ -178,7 +185,7 @@ def _solve(cfg: RunConfig, problem, mesh, dofs, scheme: str, n_steps: int,
     """One run and its record: the final-time L2 error, the run's timings
     and its history counters."""
     res = run(problem, mesh, scheme, n_steps, dofs=dofs,
-              eps=cfg.eps_for(cfg.final_time / n_steps), q=cfg.q, pre=pre,
+              eps=cfg.eps_for(cfg.final_time / n_steps), pre=pre,
               conv_values=conv)
     return {"scheme": Scheme(scheme).value, "n": mesh.n, "n_steps": n_steps,
             "alpha": problem.material.alpha,
@@ -263,15 +270,15 @@ def cmd_bench(cfg: RunConfig) -> list[dict]:
     return records
 
 
-def cmd_soe_table(alpha: float, eps: float, q: float, t_min: float,
-                  t_max: float, out_dir: Path) -> str:
-    soe = build_soe(alpha, eps, q, t_min=t_min, t_max=t_max)
+def cmd_soe_table(alpha: float, eps: float, t_min: float, t_max: float,
+                  out_dir: Path) -> str:
+    soe = build_soe(alpha, eps, PANEL_RATIO, t_min=t_min, t_max=t_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     eps_name = np.format_float_scientific(eps, trim="-")
     table_path = out_dir / f"soe_alpha{alpha}_eps{eps_name}.txt"
     write_table(soe, table_path)
-    report = (f"alpha={alpha} q={q} target={eps:.3e} range=[{t_min:.3e},"
-              f" {t_max:.3e}] N_exp={soe.n_exp} "
+    report = (f"alpha={alpha} q={PANEL_RATIO} target={eps:.3e} "
+              f"range=[{t_min:.3e}, {t_max:.3e}] N_exp={soe.n_exp} "
               f"certified <= {soe.eps_certified:.3e}")
     (out_dir / "soe_report.txt").write_text(report + "\n", encoding="utf-8")
     return report
@@ -304,7 +311,7 @@ def _tuple_of(kind):
 #: RunConfig field it sets, and the run keys are also the flag dests
 _KEYS = {"run": {"problem": str, "mesh": MeshKind, "alphas": _tuple_of(float),
                  "spatial_ns": _tuple_of(int), "n_steps": _tuple_of(int),
-                 "mesh_n": int, "scheme": str, "q": float, "eps_rule": str,
+                 "mesh_n": int, "scheme": str, "eps_rule": str,
                  "final_time": float, "out": Path},
          "material": {f.name: float for f in fields(Material)
                       if f.name != "alpha"}}
@@ -358,7 +365,6 @@ def _build_parser() -> _Parser:
     soe_p = sub.add_parser("soe-table")
     soe_p.add_argument("--alpha", type=float, required=True)
     soe_p.add_argument("--eps", type=float, required=True)
-    soe_p.add_argument("--q", type=float, default=PANEL_RATIO)
     soe_p.add_argument("--t-min", type=float, default=1e-4)
     soe_p.add_argument("--t-max", type=float, default=2.0)
     soe_p.add_argument("--out", type=Path, default=Path("out"))
@@ -386,13 +392,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                          f"not {cfg.scheme!r}")
     if args.command in ("bench", "single-run") and len(cfg.alphas) > 1:
         raise ValueError(f"{args.command} takes one alpha, got {cfg.alphas}")
-    steps, meshes = (((args.steps,), (args.n,))
-                     if args.command == "single-run"
-                     else (cfg.n_steps, cfg.spatial_ns + (cfg.mesh_n,)))
+    steps, meshes, names = (
+        ((args.steps,), (args.n,), ("--n-steps", "--n"))
+        if args.command == "single-run" else
+        (cfg.n_steps, cfg.spatial_ns + (cfg.mesh_n,),
+         ("n_steps", "spatial_ns and mesh_n")))
     if min(steps) < 1 or min(meshes) < 2 or not 0.0 < cfg.final_time < math.inf:
-        raise ValueError(f"step counts must be >= 1, mesh sizes >= 2 and "
-                         f"0 < final_time < inf, got steps {steps}, mesh sizes "
-                         f"{meshes} and final_time {cfg.final_time}")
+        raise ValueError(f"{names[0]} must be >= 1, {names[1]} >= 2 and "
+                         f"0 < final_time < inf, got {steps}, {meshes} and "
+                         f"final_time {cfg.final_time}")
     ladder = cfg.spatial_ns if args.command == "convergence-space" else steps
     again = [k for i, k in enumerate(ladder) if k in ladder[:i]]
     if args.command.startswith("convergence-") and again:
@@ -404,8 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "soe-table":
-            print(cmd_soe_table(args.alpha, args.eps, args.q, args.t_min,
-                                args.t_max, args.out))
+            print(cmd_soe_table(args.alpha, args.eps, args.t_min, args.t_max,
+                                args.out))
             return 0
         cfg = _config_from_args(args)
         if args.command.startswith("convergence-"):

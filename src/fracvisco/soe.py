@@ -65,8 +65,9 @@ ENGINE_X_MIN, ENGINE_X_MAX = 4.0 ** -20, 4.0 ** 24
 ENGINE_RATE_RATIO = 16.0
 ENGINE_J, ENGINE_J_CHECK = 20, 16
 ENGINE_TOL = 1e-9
+DBL_MAX = float(np.finfo(float).max)
 #: log(DBL_MAX): exp_convolution's closed form overflows past t = LOG_MAX.
-LOG_MAX = math.log(np.finfo(float).max)
+LOG_MAX = math.log(DBL_MAX)
 #: Entries of each (times x nodes) temporary: 512 KB.  Of 2^15..2^17,
 #: 2^17 ran the tables a few % faster but added 0.3 MB to a direct
 #: run's peak RSS; 2^16 adds none.  A rule of more nodes than this, one
@@ -419,13 +420,11 @@ def engine_kernel(alpha: float, times: np.ndarray) -> np.ndarray:
 
 
 def certify_soe(soe: SoeApprox, t_min: float, t_max: float,
-                samples: int = CERTIFY_SAMPLES,
                 _ref: np.ndarray | None = None) -> float:
-    """Measure max |SOE - E_alpha(-t**alpha)| on a log grid and record it;
-    the reference is engine_kernel on the grid unless _ref gives it."""
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    grid = np.geomspace(t_min, t_max, samples)
+    """Measure max |SOE - E_alpha(-t**alpha)| on the CERTIFY_SAMPLES-point
+    log grid and record it; the reference is engine_kernel on the grid
+    unless _ref gives it."""
+    grid = np.geomspace(t_min, t_max, CERTIFY_SAMPLES)
     ref = engine_kernel(soe.alpha, grid) if _ref is None else _ref
     dev = float(np.max(np.abs(eval_soe(soe, grid) - ref)))
     soe.eps_certified = dev
@@ -442,26 +441,29 @@ def build_soe(alpha: float, eps: float, q: float, t_min: float,
               t_max: float) -> SoeApprox:
     """Construct an exponential sum certified to eps on [t_min, t_max].
 
-    Escalation: start from K estimated from the range/tolerance, J = 8;
-    certify against engine_kernel; on failure raise J by 4 up to 48, then K
-    by 2, until the rule would have more than MAX_NODES nodes, which is
-    refused before its panel edges are built.  At alpha = 1 every rule is
-    the exact one-term sum e^{-t}, certified to 0 for any q.
+    Escalation: start from K estimated from the range/tolerance (at most
+    40), J = 8; certify against engine_kernel; on failure raise J by 4 up
+    to 48, then K by 2, until the rule would have more than MAX_NODES
+    nodes, which is refused before its panel edges are built.  At alpha = 1
+    every rule is the exact one-term sum e^{-t}, certified to 0 for any q.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0.0 < t_min < t_max:
-        raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if not 0.0 < t_min < t_max < math.inf:
+        raise ValueError(f"need 0 < t_min < t_max < inf, got "
+                         f"[{t_min}, {t_max}]")
     if not 1.0 < q < math.inf:
         raise ValueError(f"q must be a finite number above 1, got {q}")
     ref = engine_kernel(alpha, np.geomspace(t_min, t_max, CERTIFY_SAMPLES))
-    k0 = math.ceil(math.log(max(t_max / t_min, 10.0) / eps, q))
-    k0 = min(max(k0, 2), 40)
+    # a ratio past DBL_MAX is inf, which ceil refuses: it is held at DBL_MAX
+    span = min(max(t_max / t_min, 10.0) / eps, DBL_MAX)
+    k0 = min(max(math.ceil(math.log(span, q)), 2), 40)
     # Depth below 1 needed so some panel resolves rates up to ~1/t_min;
     # alpha = 1 needs none, its one rate being 1.
-    down = (max(math.ceil(alpha * math.log(1.0 / min(t_min, 1.0), q)), 0) + 1
+    rate = min(1.0 / min(t_min, 1.0), DBL_MAX)
+    down = (max(math.ceil(alpha * math.log(rate, q)), 0) + 1
             if alpha < 1.0 else 0)
     for big_k in itertools.count(k0, 2):
         panels = big_k + down + 1    # a J-point rule has panels * J nodes

@@ -1,12 +1,17 @@
 """Tests for the experiment harness CLI."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracvisco.cli import (_KEYS, RunConfig, _build_parser, _load_config,
                            _orders, cmd_convergence, main)
@@ -25,8 +30,9 @@ class TestRunConfig:
     def test_eps_rules(self):
         assert RunConfig().eps_for(0.1) == pytest.approx(0.01)
         assert RunConfig(eps_rule="fixed:1e-6").eps_for(0.1) == 1e-6
-        with pytest.raises(ValueError):
-            RunConfig(eps_rule="bogus").eps_for(0.1)
+        for rule in ("bogus", "fixed:abc", "fixed:2", "fixed:0", "fixed:nan"):
+            with pytest.raises(ValueError, match=f"^eps_rule .*'{rule}'$"):
+                RunConfig(eps_rule=rule).eps_for(0.1)
 
     def test_material_carries_alpha(self):
         mat = RunConfig(tau_sigma=0.25).material(0.3)
@@ -35,10 +41,11 @@ class TestRunConfig:
 
     def test_defaults_are_written_once(self):
         assert RunConfig().material(0.5) == Material()
+        # q is a constant, not a setting: RunConfig carries it for callers
+        # that read it, as run's default
         assert RunConfig().q == PANEL_RATIO
+        assert "q" not in {f.name for f in fields(RunConfig)}
         assert inspect.signature(run).parameters["q"].default == PANEL_RATIO
-        assert _build_parser().parse_args(
-            ["soe-table", "--alpha", "0.5", "--eps", "1e-3"]).q == PANEL_RATIO
 
     def test_one_name_per_setting(self):
         # each config key is the RunConfig field it sets, and each flag of
@@ -85,6 +92,15 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError):
             _load_config(tmp_path / "nope.ini")
+
+    def test_shipped_example_loads(self):
+        path = Path(__file__).resolve().parent.parent / "scripts" / \
+            "config_example.ini"
+        cfg = RunConfig(**_load_config(path))
+        assert cfg.alphas == (0.3, 0.5, 0.8)
+        assert cfg.out == Path("out/example")
+        assert cfg.material(0.5) == Material()
+        assert cfg.eps_for(0.1) == pytest.approx(0.01)
 
     def test_flag_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
@@ -211,14 +227,45 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("q", ["1", "1e308", "nan", "inf"])
     def test_bad_q_soe(self, q, tmp_path, capsys):
-        assert main(["soe-table", "--alpha", "0.5", "--eps", "1e-3",
-                     "--q", q, "--out", str(tmp_path)]) == 1
+        # the panel ratio is soe.PANEL_RATIO, not a flag: any --q is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["soe-table", "--alpha", "0.5", "--eps", "1e-3",
+                  "--q", q, "--out", str(tmp_path)])
+        assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: q ") and err.count("\n") == 1
+        assert err.endswith(f"\nerror: unrecognized arguments: --q {q}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, config", [
+        (["soe-table", "--alpha", "0.5", "--eps", "1e-3", "--t-min", "1e-310",
+          "--t-max", "2"], None),
+        (["single-run", "--n", "2", "--n-steps", "1"],
+         "[run]\nfinal_time = 1e-310\n"),
+    ], ids=["soe-table", "single-run"])
+    def test_range_past_dbl_max(self, argv, config, tmp_path, capsys):
+        # t_max / t_min / eps overflows to inf, so build_soe's first guess
+        # of K takes its cap.  The table certifies; the run's eps = dt/10 =
+        # 1e-311 exhausts the node budget
+        if config is not None:
+            (tmp_path / "cfg.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.ini")]
+        code = main(argv + ["--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        if config is None:
+            assert code == 0 and "N_exp=" in out and not err
+        else:
+            assert code == 2
+            assert re.fullmatch(r"numerical failure: \d+ panels x J = \d+ "
+                                r"exceeds 4096 nodes before certification at "
+                                r"eps = 1e-311\n", err)
 
     def test_invalid_eps_rule(self, tmp_path):
         assert main(["single-run", "--eps-rule", "nope", "--n", "4",
                      "--n-steps", "2", "--out", str(tmp_path)]) == 1
+        # also where the scheme would not read it
+        assert main(["single-run", "--eps-rule", "fixed:2", "--n", "4",
+                     "--n-steps", "2", "--scheme", "direct",
+                     "--out", str(tmp_path)]) == 1
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -333,7 +380,8 @@ class TestExitCodes:
         ("[material]\ntau_sigma = nan\n", "tau_sigma must be finite, got nan"),
         ("[material]\nrho = inf\n", "rho must be finite, got inf"),
         ("[material]\ntau_sigma = inf\n", "tau_sigma must be finite, got inf"),
-        ("[run]\nq = 1\n", "q must be a finite number above 1, got 1.0"),
+        ("[run]\nq = 1\n", "unknown key 'q' in section [run]"),
+        ("[run]\nq = 10\n", "unknown key 'q' in section [run]"),
         ("[run]\nspatial_ns = 4.5\n",
          "cfg.ini: [run] spatial_ns = '4.5' is malformed"),
         ("[run]\nmesh = hex\n", "cfg.ini: [run] mesh = 'hex' is malformed"),
@@ -343,7 +391,7 @@ class TestExitCodes:
             "final-time-zero", "final-time-negative", "final-time-inf",
             "final-time-800",
             "rho-nan", "tau-sigma-nan", "rho-inf", "tau-sigma-inf", "q-one",
-            "spatial-ns-float", "mesh-unknown", "rho-text"])
+            "q-ten", "spatial-ns-float", "mesh-unknown", "rho-text"])
     def test_bad_config_is_a_usage_error(self, text, named, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)
@@ -396,3 +444,107 @@ class TestLadderTables:
         assert code == 0
         self.check(capsys.readouterr().out, "temporal ex61 tri alpha=0.3",
                    tmp_path / "convergence_time.csv", [0.5, 0.25])
+
+
+#: the name an error line must carry when the test made that input invalid
+NAMED = {"n": r"--n\b(?!-)", "n_steps": "--n-steps", "alpha": "alpha",
+         "scheme": "scheme", "eps_rule": "eps_rule",
+         "final_time": "final_time", "t_min": "t_min", "t_max": "t_max",
+         "eps": "eps", **{key: key for key in _KEYS["material"]}}
+#: a value per input, invalid for it
+INVALID = {"n": st.sampled_from([1, 0, -3]),
+           "n_steps": st.sampled_from([0, -1]),
+           "alpha": st.sampled_from([0.0, 1.5, -0.5, float("nan")]),
+           "scheme": st.just("both"),
+           "eps_rule": st.sampled_from(["bogus", "fixed:abc", "fixed:2",
+                                        "fixed:0"]),
+           "final_time": st.sampled_from([0.0, -1.0, float("inf")]),
+           "t_min": st.sampled_from([0.0, -1.0, float("nan")]),
+           "t_max": st.sampled_from([float("inf"), float("nan")]),
+           "eps": st.sampled_from([0.0, 1.0, 2.0, float("nan")]),
+           **{key: st.sampled_from([float("nan"), float("inf")])
+              for key in _KEYS["material"]}}
+ALPHA = st.one_of(st.sampled_from([1.0, 0.999, 0.005]), st.floats(0.05, 1.0))
+SINGLE_RUN = st.fixed_dictionaries({
+    "n": st.integers(2, 3), "n_steps": st.integers(1, 8), "alpha": ALPHA,
+    "scheme": st.sampled_from(["fast", "direct"]),
+    "eps_rule": st.sampled_from(["dt-over-10", "fixed:1e-12", "fixed:0.5"]),
+    "final_time": st.one_of(st.sampled_from([1e-310, 700.0]),
+                            st.floats(1e-310, 700.0)),
+    **{key: st.one_of(st.none(), st.sampled_from([1e-300, 1e300]),
+                      st.floats(1e-300, 1e300))
+       for key in _KEYS["material"]}})
+SOE_TABLE = st.fixed_dictionaries({
+    "alpha": ALPHA,
+    "eps": st.one_of(st.sampled_from([1e-12, 0.5, 5e-324]),
+                     st.floats(1e-12, 0.5)),
+    "t_min": st.one_of(st.sampled_from([5e-324, 1e-310, 1.0]),
+                       st.floats(1e-310, 1.0)),
+    "t_max": st.one_of(st.sampled_from([2.0, 1e300]),
+                       st.floats(2.0, 1e300))})
+
+
+def _invalid(inputs, data):
+    """inputs with, in about a third of the draws, one input made invalid;
+    the key made invalid or None."""
+    key = data.draw(st.one_of(st.none(), st.none(),
+                              st.sampled_from(list(inputs))))
+    if key is not None:
+        inputs = {**inputs, key: data.draw(INVALID[key])}
+    return inputs, key
+
+
+class TestCliInputs:
+    """main over single-run's and soe-table's inputs, extremes included
+    (100 and 60 examples, about 6 s): exit 0, exit 1 with one ``error:`` line
+    that names the input made invalid, or exit 2 with one ``numerical
+    failure:`` line; never an uncaught exception."""
+
+    @staticmethod
+    def check(argv, invalid):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:    # argparse's usage error
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        if invalid is not None:
+            assert code == 1, (argv, code, lines)
+        if code == 1:
+            errors = [ln for ln in lines if ln.startswith("error: ")]
+            assert len(errors) == 1, (argv, lines)
+            if invalid is not None:
+                assert re.search(NAMED[invalid], errors[0]), (argv, errors)
+        elif code == 2:
+            assert len(lines) == 1, (argv, lines)
+            assert lines[0].startswith("numerical failure: "), (argv, lines)
+        else:
+            assert code == 0, (argv, code, lines)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(SINGLE_RUN, st.data())
+    def test_single_run(self, tmp_path_factory, inputs, data):
+        inputs, invalid = _invalid(inputs, data)
+        config = "".join(
+            f"{key} = {inputs[key]!r}\n" for key in _KEYS["material"]
+            if inputs[key] is not None)
+        path = tmp_path_factory.mktemp("cli") / "cfg.ini"
+        path.write_text(f"[run]\nfinal_time = {inputs['final_time']!r}\n"
+                        f"[material]\n{config}")
+        self.check(["single-run", "--config", str(path),
+                    "--n", str(inputs["n"]),
+                    "--n-steps", str(inputs["n_steps"]),
+                    "--alpha", repr(inputs["alpha"]),
+                    "--scheme", inputs["scheme"],
+                    "--eps-rule", inputs["eps_rule"],
+                    "--out", str(path.parent)], invalid)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(SOE_TABLE, st.data())
+    def test_soe_table(self, tmp_path_factory, inputs, data):
+        inputs, invalid = _invalid(inputs, data)
+        self.check(["soe-table", *(arg for key, value in inputs.items()
+                                   for arg in ("--" + key.replace("_", "-"),
+                                               repr(value))),
+                    "--out", str(tmp_path_factory.mktemp("cli"))], invalid)

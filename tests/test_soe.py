@@ -316,11 +316,11 @@ class TestBuildAndCertify:
         assert soe.n_exp <= 4096
 
     def test_certification_is_honest(self):
-        # re-measuring on a finer grid stays within a small factor
+        # re-measuring on a 4x finer grid stays within a small factor
         soe = build_soe(0.5, 1e-6, 10.0, 1e-4, 2.0)
-        recorded = soe.eps_certified
-        dev = certify_soe(soe, 1e-4, 2.0, samples=2048)
-        assert dev <= 4.0 * max(recorded, 1e-30)
+        grid = np.geomspace(1e-4, 2.0, 4 * CERTIFY_SAMPLES)
+        dev = np.abs(eval_soe(soe, grid) - engine_kernel(0.5, grid)).max()
+        assert dev <= 4.0 * max(soe.eps_certified, 1e-30)
         assert dev <= 1e-6 * 4.0
 
     def test_eval_matches_reference_pointwise(self):
@@ -429,9 +429,22 @@ class TestBuildAndCertify:
             build_soe(0.5, 2.0, 10.0, 1e-4, 2.0)
         with pytest.raises(ValueError):
             build_soe(0.5, 1e-6, 10.0, 2.0, 1e-4)
-        with pytest.raises(ValueError):
-            certify_soe(build_soe(0.5, 1e-3, 10.0, 1e-2, 2.0),
-                        1e-2, 2.0, samples=50)
+        with pytest.raises(ValueError,
+                           match=r"t_max < inf, got \[0.01, inf\]"):
+            build_soe(0.5, 1e-3, 10.0, 1e-2, math.inf)
+
+    def test_range_past_dbl_max(self):
+        # t_max / t_min and 1 / t_min overflow to inf, which ceil cannot
+        # take in the first guess of K and the depth below 1: both are held
+        # at DBL_MAX, so the two builds are the same sum
+        tiny, least = (build_soe(0.5, 1e-3, 10.0, t_min, 2.0)
+                       for t_min in (1e-310, 5e-324))
+        assert tiny.eps_certified <= 1e-3 and least.eps_certified <= 1e-3
+        assert np.array_equal(tiny.nodes, least.nodes)
+        # a subnormal eps overflows the ratio at any range, and no sum
+        # within the node budget certifies it
+        with pytest.raises(BudgetExceeded, match="at eps = 1e-311$"):
+            build_soe(0.5, 1e-311, 10.0, 2e-311, 2e-310)
 
     @settings(max_examples=10, deadline=None)
     @given(alpha=st.floats(0.15, 0.9), scale=st.floats(0.5, 2.0))
