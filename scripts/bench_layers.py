@@ -9,7 +9,11 @@
 The first two forms time each row of CASES, a layer of an ex61 run (eps None
 is the run's dt / 10), against the tree ``--src`` with one BLAS thread, and
 store the record, with the tree's commit and the machine, in
-``records[label]``.  Each time ``X_s`` is the median of its layer's REPEATS
+``records[label]``.  Its first row, ``import``, runs ``import fracvisco.cli``
+from that tree in a fresh interpreter per sample: ``import_s`` is the
+import's wall time, ``maxrss_mb`` the median of the interpreters' peak RSS
+(ru_maxrss, in perfbench's MB) and ``loaded`` which of SCIPY_SUBPACKAGES it
+loaded.  Each time ``X_s`` is the median of its layer's REPEATS
 samples (``X_samples_s``), and ``X_ref_s`` the median of the samples in
 perfbench's reference seconds: the reference work runs before the row and
 after each sample (``reference_samples_s``, median ``reference_s``), and a
@@ -41,16 +45,31 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_S, FINAL_TIME = 0.05, 1.0  # SAMPLE_S: least sample time
 # samples per row: 3 left the sub-millisecond kernel tables of certify and
 # tables about 45 % apart between two records of one tree
-REPEATS = {"certify": 15, "tables": 15, "system": 7, "per_mesh": 7,
-           "fast_loop": 3, "direct_loop": 3}
+REPEATS = {"import": 5, "certify": 15, "tables": 15, "system": 7,
+           "per_mesh": 7, "fast_loop": 3, "direct_loop": 3}
 COUNTERS = ("n_dofs", "n_exp", "half_bandwidth", "factor_entries")
 Case = namedtuple("Case", "layer mesh n alpha n_steps eps", defaults=(None,))
+SCIPY_SUBPACKAGES = ("scipy.optimize", "scipy.integrate", "scipy.spatial",
+                     "scipy.fft")
+# argv: the src tree, then the subpackages to look for in sys.modules
+IMPORT_SCRIPT = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import fracvisco.cli
+import_s = time.perf_counter() - t0
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "import_s": import_s, "maxrss_mb": maxrss * 1024 / 1e6,
+    "loaded": [name for name in sys.argv[2:] if name in sys.modules]}))
+"""
 
 # The fast runs of spatial-fast (N = 256) and temporal-ladder (N = 5 ... 40);
 # the tables also at direct-long's N = 1500, the system rows at dt = 0.5/n^2.
 RUNS = ((0.3, 256), (0.5, 256), (0.8, 256),
         (0.5, 5), (0.5, 10), (0.5, 20), (0.5, 40))
 CASES = (
+    Case("import", None, None, None, None),
     *(Case("certify", None, None, a, steps) for a, steps in RUNS),
     *(Case("tables", None, None, a, steps)
       for a, steps in (*RUNS, (0.5, 1500))),
@@ -110,6 +129,20 @@ def calls(fns: dict):
 
 def layer(case: Case):
     """The case's layer: its sample and the row's fields other than times."""
+    if case.layer == "import":  # of the tree layer_record imported
+        src = Path(fem.__file__).resolve().parent.parent
+        info = {"maxrss_samples_mb": []}
+
+        def fresh_import() -> dict:
+            out = json.loads(subprocess.run(
+                [sys.executable, "-c", IMPORT_SCRIPT, str(src),
+                 *SCIPY_SUBPACKAGES], capture_output=True, text=True,
+                check=True).stdout)
+            info["maxrss_samples_mb"].append(out["maxrss_mb"])
+            info["maxrss_mb"] = statistics.median(info["maxrss_samples_mb"])
+            info["loaded"] = out["loaded"]
+            return {"import_s": out["import_s"]}
+        return fresh_import, info
     dt, mat = FINAL_TIME / case.n_steps, fem.Material(alpha=case.alpha)
     if case.layer == "certify":  # on the grid the run's sum is certified on
         t_min, t_max = dt / (10 * mat.tau_sigma), FINAL_TIME / mat.tau_sigma

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import NonConvergence, QuadratureFailure
 
 #: Largest |z| handled by the power series before switching to quadrature.
@@ -89,6 +87,8 @@ def _x_integrand(x: float, t: float, alpha: float) -> float:
 
 
 def _adaptive(fn, lo: float, hi: float) -> float:
+    # imported here, its one caller: no run path needs scipy.integrate
+    from scipy.integrate import quad
     val, err = quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-12,
                     limit=QUAD_LIMIT)
     if not math.isfinite(val) or err > 1e-9:

@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemv, dger
-from scipy.optimize import nnls
 from scipy.special import exprel
 
 from .errors import BudgetExceeded, FracViscoError, QuadratureFailure
@@ -150,13 +149,21 @@ def step_factors(soe: SoeApprox, dt: float,
                  tau_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """The one-step factors decay_j = e^{-a_j dt / tau_sigma} and
     gain_j = (b_j tau_sigma / a_j)(1 - decay_j) of each exponential;
-    FracViscoError for a sum with a zero rate, whose gain is 0/0."""
+    FracViscoError for a sum with a zero rate, whose gain is 0/0, and for
+    a gain that is not finite (b_j tau_sigma / a_j overflows)."""
     zero = np.count_nonzero(soe.nodes == 0.0)
     if zero:
         raise FracViscoError(f"{zero} rates of the exponential sum underflow "
                              f"to 0 at alpha = {soe.alpha}")
     decay = np.exp(-soe.nodes * dt / tau_sigma)
-    return decay, soe.weights * tau_sigma / soe.nodes * (1.0 - decay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = soe.weights * tau_sigma / soe.nodes * (1.0 - decay)
+    bad = np.count_nonzero(~np.isfinite(gain))
+    if bad:
+        raise FracViscoError(f"{bad} gains of the exponential sum are not "
+                             f"finite at tau_sigma = {tau_sigma:g}, "
+                             f"dt = {dt:g}")
+    return decay, gain
 
 
 class MemoryState:
@@ -196,10 +203,11 @@ def _exp_sum(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with a_j min(t) > 746 (exp underflows to 0) is skipped, and the trailing
     run with a_j max(t) <= 2^-60 (exp(-x) is 1.0 exactly) enters as
     sum_j b_j.  Runs, not every such column, so unsorted rates stay right."""
-    lo = np.count_nonzero(np.logical_and.accumulate(
-        np.min(t, initial=math.inf) * a > 746.0))
-    hi = max(lo, a.size - np.count_nonzero(np.logical_and.accumulate(
-        np.max(t, initial=0.0) * a[::-1] <= 2.0 ** -60)))
+    with np.errstate(over="ignore"):    # an inf product compares right
+        fast = np.min(t, initial=math.inf) * a > 746.0
+        slow = np.max(t, initial=0.0) * a[::-1] <= 2.0 ** -60
+    lo = np.count_nonzero(np.logical_and.accumulate(fast))
+    hi = max(lo, a.size - np.count_nonzero(np.logical_and.accumulate(slow)))
     m = np.einsum("...,j->...j", -t, a[lo:hi])
     return np.exp(m, out=m) @ b[lo:hi] + b[hi:].sum()
 
@@ -261,6 +269,8 @@ def compress_soe(soe: SoeApprox, dt: float, tau_sigma: float,
     # residual norm of the least-squares fit by the first k pivoted columns
     resid = np.sqrt(np.cumsum((q.T @ target)[::-1] ** 2)[::-1])
     r = np.count_nonzero(resid > COMPRESS_RTOL / 4.0)
+    # imported here, its one caller, so that a direct run never loads it
+    from scipy.optimize import nnls
     for cols in (np.sort(perm[:r]), np.arange(live.size)):
         try:
             # these columns are ill-conditioned: Lawson-Hanson can need

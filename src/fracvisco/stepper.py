@@ -209,10 +209,17 @@ def run(problem: ManufacturedProblem, mesh: Mesh, scheme: Scheme,
     soe: SoeApprox | None = None
     if scheme is Scheme.FAST:
         target = eps if eps is not None else default_eps(dt)
-        soe = compress_soe(build_soe(mat.alpha, target, q,
-                                     t_min=dt / (10.0 * mat.tau_sigma),
-                                     t_max=problem.final_time / mat.tau_sigma),
-                           dt, mat.tau_sigma, n_steps)
+        t_min = dt / (10.0 * mat.tau_sigma)
+        t_max = problem.final_time / mat.tau_sigma
+        if not 0.0 < t_min < t_max < np.inf:
+            raise ValueError(
+                f"final_time = {problem.final_time:g}, n_steps = {n_steps} "
+                f"and tau_sigma = {mat.tau_sigma:g} give the kernel range "
+                f"[{t_min:g}, {t_max:g}]; the fast scheme needs 0 < "
+                f"dt/(10 tau_sigma) < final_time/tau_sigma < inf")
+        # by keyword: perfbench's tracer reads t_min and t_max by name
+        soe = compress_soe(build_soe(mat.alpha, target, q, t_min=t_min,
+                                     t_max=t_max), dt, mat.tau_sigma, n_steps)
         hist = MemoryState(soe, dt, mat.tau_sigma, dofs.n_dofs)
     else:
         hist = DirectHistory(direct_weights(mat, dt, n_steps), dofs.n_dofs)

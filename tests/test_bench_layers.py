@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 import bench_layers  # noqa: E402
 
-TIMES = {"certify": ("engine", "build_soe"),
+TIMES = {"import": ("import",),
+         "certify": ("engine", "build_soe"),
          "tables": ("conv_table", "lag_weights"),
          "system": ("factor", "system", "solve", "solve_3rhs"),
          "per_mesh": ("assembly", "ritz", "loads", "error"),
@@ -46,5 +47,9 @@ def test_every_layer_gives_its_times_and_counters(monkeypatch):
         assert row["half_bandwidth"] == (9 if on_mesh else None)
         assert row["factor_entries"] == (10 * 18 if on_mesh else None)
         assert (row["n_exp"] is None) == (row["layer"] in (
-            "tables", "system", "per_mesh"))
+            "import", "tables", "system", "per_mesh"))
+    head = record["rows"][0]
+    assert len(head["maxrss_samples_mb"]) == bench_layers.REPEATS["import"]
+    assert head["maxrss_mb"] == statistics.median(head["maxrss_samples_mb"])
+    assert set(head["loaded"]) <= set(bench_layers.SCIPY_SUBPACKAGES)
     assert record["rows"][-1]["n_exp"] == 0 < record["rows"][-2]["n_exp"]

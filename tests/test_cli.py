@@ -236,16 +236,20 @@ class TestExitCodes:
         assert err.endswith(f"\nerror: unrecognized arguments: --q {q}\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv, config", [
         (["soe-table", "--alpha", "0.5", "--eps", "1e-3", "--t-min", "1e-310",
           "--t-max", "2"], None),
+        (["soe-table", "--alpha", "0.5", "--eps", "1e-3", "--t-min", "1e-3",
+          "--t-max", "1e300"], None),
         (["single-run", "--n", "2", "--n-steps", "1"],
          "[run]\nfinal_time = 1e-310\n"),
-    ], ids=["soe-table", "single-run"])
+    ], ids=["soe-table", "soe-table-t-max", "single-run"])
     def test_range_past_dbl_max(self, argv, config, tmp_path, capsys):
         # t_max / t_min / eps overflows to inf, so build_soe's first guess
-        # of K takes its cap.  The table certifies; the run's eps = dt/10 =
-        # 1e-311 exhausts the node budget
+        # of K takes its cap, and t_max times a fast rate overflows in
+        # _exp_sum.  The tables certify, without a numpy warning; the
+        # run's eps = dt/10 = 1e-311 exhausts the node budget
         if config is not None:
             (tmp_path / "cfg.ini").write_text(config)
             argv += ["--config", str(tmp_path / "cfg.ini")]
@@ -258,6 +262,31 @@ class TestExitCodes:
             assert re.fullmatch(r"numerical failure: \d+ panels x J = \d+ "
                                 r"exceeds 4096 nodes before certification at "
                                 r"eps = 1e-311\n", err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gain_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # b tau_sigma / a overflows to inf where 1 - decay rounds to 0
+        (tmp_path / "cfg.ini").write_text(
+            "[run]\nfinal_time = 486.1755\n[material]\ntau_sigma = 1e300\n")
+        code = main(["single-run", "--n", "2", "--n-steps", "6",
+                     "--eps-rule", "fixed:1e-12", "--config",
+                     str(tmp_path / "cfg.ini"), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"numerical failure: \d+ gains of the exponential "
+                            r"sum are not finite at tau_sigma = 1e\+300, "
+                            r"dt = 81\.0293\n", err)
+
+    def test_kernel_range_underflow_names_the_keys(self, tmp_path, capsys):
+        (tmp_path / "cfg.ini").write_text(
+            "[run]\nfinal_time = 1e-30\n[material]\ntau_sigma = 1e300\n")
+        argv = ["single-run", "--n", "2", "--n-steps", "6", "--config",
+                str(tmp_path / "cfg.ini"), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: final_time = 1e-30, n_steps = 6 and "
+                            r"tau_sigma = 1e\+300 .*\n", err)
+        assert main(argv + ["--scheme", "direct"]) == 0
 
     def test_invalid_eps_rule(self, tmp_path):
         assert main(["single-run", "--eps-rule", "nope", "--n", "4",

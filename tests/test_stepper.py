@@ -602,6 +602,17 @@ class TestRunInputs:
         with pytest.raises(ValueError, match=invalid):
             _run_inputs(**inputs, **args)
 
+    def test_kernel_range_underflow_is_named(self):
+        # dt / (10 tau_sigma) and T / tau_sigma both underflow to 0
+        inputs = {"problem": "ex61", "kind": "quad", "n": 2, "alpha": 0.5,
+                  "tau_sigma": 1e300, "tau_eps": 1.0, "rho": 1.0,
+                  "final_time": 1e-30, "n_steps": 6, "eps": None}
+        with pytest.raises(ValueError, match=r"final_time = 1e-30, "
+                           r"n_steps = 6 and tau_sigma = 1e\+300"):
+            _run_inputs(**inputs, scheme=Scheme.FAST)
+        res = _run_inputs(**inputs, scheme=Scheme.DIRECT)
+        assert np.isfinite(res.coeffs).all()
+
 
 class TestTemporalDifferences:
     """||v^N - v^{2N}|| at t = T against the space-exact oracle (ex61, quad
